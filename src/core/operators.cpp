@@ -48,21 +48,33 @@ double read_double_field(const schema::Schema& schema, std::string_view wire,
   return static_cast<double>(read_int_field(schema, wire, field));
 }
 
-/// Projects a wire record of `in` onto `out` by field name (types must
-/// match), appending into `projected` (cleared first). Used by the final
-/// distribute to drop add-on attributes without per-record allocation;
-/// `ranges` is caller-owned scratch hoisted out of the record loop.
-void project_record_into(const schema::Schema& in, const schema::Schema& out,
-                         std::string_view wire, std::string& projected,
-                         std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
-  field_ranges_into(in, wire, ranges);
-  projected.clear();
+/// For each field of `out`, the index of the same-named field of `in`
+/// (types must match, or the projection is a ConfigError). Resolved once per
+/// distribute input, before the record loop.
+std::vector<std::size_t> projection_map(const schema::Schema& in, const schema::Schema& out) {
+  std::vector<std::size_t> map;
+  map.reserve(out.field_count());
   for (std::size_t i = 0; i < out.field_count(); ++i) {
     const auto& target = out.field(i);
     const std::size_t src = in.required_index(target.name);
     if (in.field(src).type != target.type) {
       throw ConfigError("field `" + target.name + "` changes type across schemas");
     }
+    map.push_back(src);
+  }
+  return map;
+}
+
+/// Projects a wire record of `in` through `map` (see projection_map),
+/// appending into `projected` (cleared first). Used by the final distribute
+/// to drop add-on attributes without per-record allocation; `ranges` is
+/// caller-owned scratch hoisted out of the record loop.
+void project_record_into(const schema::Schema& in, const std::vector<std::size_t>& map,
+                         std::string_view wire, std::string& projected,
+                         std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
+  field_ranges_into(in, wire, ranges);
+  projected.clear();
+  for (const std::size_t src : map) {
     const auto [off, len] = ranges.at(src);
     projected.append(wire.substr(off, len));
   }
@@ -297,9 +309,8 @@ void group_op(mp::Comm& comm, Dataset& ds, const GroupArgs& args) {
       }
     }
   });
-
-  // Deterministic local order: groups sorted by key bytes.
-  mr.local_sort([](const mr::KvPair& a, const mr::KvPair& b) { return a.key < b.key; });
+  // reduce() emits the groups in ascending key-byte order, which is the
+  // deterministic local order downstream operators rely on.
 
   ds.page = std::move(mr.mutable_local());
   ds.schema = std::move(out_schema);
@@ -422,6 +433,12 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
   std::uint64_t stamp_base = 0;
   for (std::size_t d = 0; d < inputs.size(); ++d) {
     Dataset& ds = *inputs[d];
+    // Resolve the projection onto the output schema up front, on every rank
+    // (with records or not), so a type-changing projection fails everywhere
+    // before any communication.
+    const bool needs_projection = !(ds.schema == out_schema);
+    const std::vector<std::size_t> field_map =
+        needs_projection ? projection_map(ds.schema, out_schema) : std::vector<std::size_t>{};
 
     // Global entry/record offsets for this rank via allgather. The paper
     // applies the permutation matrix to the (logically global) data vector;
@@ -484,7 +501,6 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
     // Receiver side: unpack, project onto the output schema (dropping
     // add-on attributes so output format equals input format), and stamp
     // individual records.
-    const bool needs_projection = !(ds.schema == out_schema);
     std::string projected;
     std::vector<std::pair<std::size_t, std::size_t>> ranges;
     mr.mutable_local().for_each([&](std::string_view key, std::string_view value) {
@@ -496,7 +512,7 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
       auto emit_record = [&](std::string_view rec) {
         std::string_view out_rec = rec;
         if (needs_projection) {
-          project_record_into(ds.schema, out_schema, rec, projected, ranges);
+          project_record_into(ds.schema, field_map, rec, projected, ranges);
           out_rec = projected;
         }
         const std::uint64_t st = content_stamps ? key_hash(out_rec) : stamp + member;
@@ -518,17 +534,7 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
   // Deterministic final order: by (partition, stamp, record bytes).
   mr::MapReduce sorter(comm);
   sorter.mutable_local() = std::move(final_page);
-  sorter.local_sort([](const mr::KvPair& a, const mr::KvPair& b) {
-    std::uint32_t pa, pb;
-    std::uint64_t sa, sb;
-    std::memcpy(&pa, a.key.data(), sizeof(pa));
-    std::memcpy(&pb, b.key.data(), sizeof(pb));
-    std::memcpy(&sa, a.key.data() + sizeof(pa), sizeof(sa));
-    std::memcpy(&sb, b.key.data() + sizeof(pb), sizeof(sb));
-    if (pa != pb) return pa < pb;
-    if (sa != sb) return sa < sb;
-    return a.value < b.value;
-  });
+  sorter.sort_by_key(mr::KeyColumn::partition_stamp());
 
   DistributedDataset out;
   out.schema = std::move(out_schema);

@@ -62,12 +62,7 @@ RebalanceReport rebalance_op(mp::Comm& comm, Dataset& ds, DistrPolicyKind policy
     }
     return static_cast<int>(i * static_cast<std::uint64_t>(p) / total_entries);
   });
-  mr.local_sort([](const mr::KvPair& a, const mr::KvPair& b) {
-    std::uint64_t ia, ib;
-    std::memcpy(&ia, a.key.data(), sizeof(ia));
-    std::memcpy(&ib, b.key.data(), sizeof(ib));
-    return ia < ib;
-  });
+  mr.sort_by_key(mr::KeyColumn::u64_key());
   // Strip the temporary index key (basic operators reorder but never alter
   // data — the index was a reduce-key in the paper's sense).
   mr.map_kv([](std::string_view, std::string_view value, mr::KvEmitter& emit) {

@@ -420,12 +420,10 @@ void MapReduce::aggregate(const PartitionFn& part) {
 
 void MapReduce::reduce(const ReduceFn& fn) {
   PhaseSpan span(comm_, "mr.reduce");
-  // Stable sort record offsets by key bytes so equal keys are adjacent and
-  // values keep their page order within each group.
-  auto offs = page_.offsets();
-  std::stable_sort(offs.begin(), offs.end(), [this](std::size_t a, std::size_t b) {
-    return page_.at(a).key < page_.at(b).key;
-  });
+  // Record offsets in key order, values in page order within each group.
+  // Untracked working memory, like the offset sort it replaced: reduce has
+  // no external fallback, and its output spools to disk past the watermark.
+  const auto offs = order_by_key(KeyColumn::key_bytes());
 
   const bool spooled = spill_ready(budget_);
   RewriteSpool spool(spooled ? make_spill_config(budget_, comm_->rank())
@@ -457,106 +455,249 @@ void MapReduce::reduce(const ReduceFn& fn) {
   }
 }
 
-void MapReduce::local_sort(
-    const std::function<bool(const KvPair&, const KvPair&)>& less) {
-  if (obs::Recorder* rec = comm_->recorder()) {
-    rec->add_counter("sort.records", page_.count());
-    rec->add_counter("sort.engine_merge", 1);
-  }
-  comm_->note_sort_progress(page_.count());
-  // reorder() materializes a full second copy of the page; when that copy
-  // would push the rank past its soft watermark, sort externally instead:
-  // sorted runs spill to disk and a streaming merge rebuilds the page,
-  // byte-identical to the in-memory result.
-  if (spill_ready(budget_) &&
-      budget_->should_spill(comm_->rank(), page_.byte_size())) {
-    external_stable_sort(page_, less, make_spill_config(budget_, comm_->rank()));
-    return;
-  }
-  auto offs = page_.offsets();
-  std::stable_sort(offs.begin(), offs.end(), [&](std::size_t a, std::size_t b) {
-    return less(page_.at(a), page_.at(b));
-  });
-  BudgetScope copy(budget_, comm_->rank(), page_.byte_size());
-  page_.reorder(offs);
+// -- Key-column sort ------------------------------------------------------------
+
+namespace {
+
+/// The first `n` (<= 8) bytes at `p` as a big-endian u64, zero-padded, so
+/// the integer order of the result is the lexicographic order of the bytes.
+std::uint64_t load_be(const char* p, std::size_t n) {
+  unsigned char buf[8] = {};
+  if (n > 0) std::memcpy(buf, p, n);
+  std::uint64_t v = 0;
+  for (unsigned char b : buf) v = (v << 8) | b;
+  return v;
 }
 
-void MapReduce::local_sort_by_projection(
-    const std::function<std::uint64_t(const KvPair&)>& proj, bool tie_break_bytes) {
-  const std::size_t n = page_.count();
-  const sortlib::SortEngine engine = sortlib::default_sort_engine();
-  const bool want_radix =
-      engine == sortlib::SortEngine::kRadix ||
-      (engine == sortlib::SortEngine::kAuto && n >= sortlib::kRadixAutoCutoff);
-  // Budget-governed ranks past the watermark sort externally (runs spill to
-  // disk): the projection column would be exactly the second in-memory copy
-  // that path exists to avoid.
-  const bool spilling = spill_ready(budget_) &&
-                        budget_->should_spill(comm_->rank(), page_.byte_size());
-  if (!want_radix || spilling) {
-    local_sort([&](const KvPair& a, const KvPair& b) {
-      const std::uint64_t pa = proj(a);
-      const std::uint64_t pb = proj(b);
-      if (pa != pb) return pa < pb;
-      if (!tie_break_bytes) return false;
+template <typename T>
+T load_le(const char* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// One record of the key column: its key words and a reference packing the
+/// record's page offset with the extractor's "words encode the whole key"
+/// bit (the low bit, so comparing refs compares offsets).
+template <int W>
+struct KeyEntry {
+  std::uint64_t w[W];
+  std::uint64_t ref;
+
+  std::size_t offset() const { return static_cast<std::size_t>(ref >> 1); }
+  bool exact() const { return (ref & 1) != 0; }
+};
+
+template <int W>
+bool words_equal(const KeyEntry<W>& a, const KeyEntry<W>& b) {
+  for (int i = 0; i < W; ++i) {
+    if (a.w[i] != b.w[i]) return false;
+  }
+  return true;
+}
+
+/// The tie-break over records with equal words.
+bool tie_less(KeyColumn::TieBreak tie, const KvPair& a, const KvPair& b) {
+  switch (tie) {
+    case KeyColumn::TieBreak::kStable:
+      return false;
+    case KeyColumn::TieBreak::kKeyBytes:
+      return a.key < b.key;
+    case KeyColumn::TieBreak::kRecordBytes:
       if (a.key != b.key) return a.key < b.key;
       return a.value < b.value;
-    });
-    return;
+  }
+  return false;
+}
+
+/// Whether a key column over `n` records takes the radix path.
+bool use_radix(std::size_t n) {
+  const sortlib::SortEngine engine = sortlib::default_sort_engine();
+  return engine == sortlib::SortEngine::kRadix ||
+         (engine == sortlib::SortEngine::kAuto && n >= sortlib::kRadixAutoCutoff);
+}
+
+/// Peak bytes of a key column over `n` records: the entries, plus the
+/// scratch buffer on the radix path.
+std::size_t key_column_bytes(const KeyColumn& col, std::size_t n) {
+  const std::size_t entry_bytes = (static_cast<std::size_t>(col.words) + 1) * 8;
+  return (use_radix(n) ? 2 : 1) * n * entry_bytes;
+}
+
+/// Sorts the page's key column and returns record offsets in column order:
+/// extract, radix- or comparison-sort the words (both stable), tie-break
+/// each run of equal words on record bytes, and drop the column.
+template <int W>
+std::vector<std::size_t> sort_key_column(const KvBuffer& page, const KeyColumn& col,
+                                         bool radix, sortlib::RadixStats& stats) {
+  using Entry = KeyEntry<W>;
+  std::vector<Entry> entries;
+  entries.reserve(page.count());
+  std::size_t off = 0;
+  while (off < page.byte_size()) {
+    std::size_t next = 0;
+    Entry e{};
+    const bool exact = col.extract(page.at(off, &next), e.w);
+    e.ref = (static_cast<std::uint64_t>(off) << 1) | (exact ? 1u : 0u);
+    entries.push_back(e);
+    off = next;
   }
 
-  // Radix path: one contiguous {projection, index} column, sorted stably by
-  // projection in O(passes * n). Stability keeps equal projections in page
-  // order — the same permutation the stable comparator sort produces — and
-  // the requested total order is restored by tie-breaking each
-  // equal-projection run by raw record bytes afterwards.
-  struct Entry {
-    std::uint64_t proj;
-    std::uint32_t idx;
-  };
-  const auto offs = page_.offsets();
-  PAPAR_CHECK_MSG(offs.size() <= std::numeric_limits<std::uint32_t>::max(),
-                  "page too large for the projection-sort index column");
-  sortlib::RadixStats rstats;
-  std::vector<std::size_t> order(offs.size());
-  {
-    std::vector<Entry> entries;
-    entries.reserve(offs.size());
-    for (std::size_t i = 0; i < offs.size(); ++i) {
-      entries.push_back(Entry{proj(page_.at(offs[i])), static_cast<std::uint32_t>(i)});
-    }
+  if (radix) {
+    // LSD over the words: least significant word first, each pass stable.
     std::vector<Entry> scratch(entries.size());
-    BudgetScope column(budget_, comm_->rank(), 2 * entries.size() * sizeof(Entry));
-    sortlib::lsd_radix_sort_seq(
-        std::span<Entry>(entries), std::span<Entry>(scratch),
-        [](const Entry& e) { return e.proj; }, &rstats);
-    if (tie_break_bytes) {
-      std::size_t i = 0;
-      while (i < entries.size()) {
-        std::size_t j = i + 1;
-        while (j < entries.size() && entries[j].proj == entries[i].proj) ++j;
-        if (j - i > 1) {
-          std::stable_sort(entries.begin() + static_cast<std::ptrdiff_t>(i),
-                           entries.begin() + static_cast<std::ptrdiff_t>(j),
-                           [&](const Entry& a, const Entry& b) {
-                             const KvPair ra = page_.at(offs[a.idx]);
-                             const KvPair rb = page_.at(offs[b.idx]);
-                             if (ra.key != rb.key) return ra.key < rb.key;
-                             return ra.value < rb.value;
-                           });
-        }
-        i = j;
-      }
+    for (int i = W - 1; i >= 0; --i) {
+      sortlib::RadixStats word;
+      sortlib::lsd_radix_sort_seq(std::span<Entry>(entries), std::span<Entry>(scratch),
+                                  [i](const Entry& e) { return e.w[i]; }, &word);
+      stats.passes += word.passes;
+      stats.skipped_passes += word.skipped_passes;
     }
-    for (std::size_t i = 0; i < entries.size(); ++i) order[i] = offs[entries[i].idx];
+  } else {
+    // Offsets are unique, so ordering by them last makes std::sort stable.
+    std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+      for (int i = 0; i < W; ++i) {
+        if (a.w[i] != b.w[i]) return a.w[i] < b.w[i];
+      }
+      return a.ref < b.ref;
+    });
   }
+
+  if (col.tie_break != KeyColumn::TieBreak::kStable) {
+    std::size_t i = 0;
+    while (i < entries.size()) {
+      std::size_t j = i + 1;
+      bool exact = entries[i].exact();
+      while (j < entries.size() && words_equal(entries[j], entries[i])) {
+        exact = exact && entries[j].exact();
+        ++j;
+      }
+      // Equal whole keys leave a key-bytes tie-break nothing to decide.
+      const bool decided = exact && col.tie_break == KeyColumn::TieBreak::kKeyBytes;
+      if (j - i > 1 && !decided) {
+        std::stable_sort(entries.begin() + static_cast<std::ptrdiff_t>(i),
+                         entries.begin() + static_cast<std::ptrdiff_t>(j),
+                         [&](const Entry& a, const Entry& b) {
+                           return tie_less(col.tie_break, page.at(a.offset()),
+                                           page.at(b.offset()));
+                         });
+      }
+      i = j;
+    }
+  }
+
+  std::vector<std::size_t> order(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) order[i] = entries[i].offset();
+  return order;
+}
+
+}  // namespace
+
+KeyColumn KeyColumn::key_bytes() {
+  KeyColumn col;
+  col.words = 2;
+  col.tie_break = TieBreak::kKeyBytes;
+  col.extract = [](const KvPair& kv, std::uint64_t* w) {
+    const std::string_view k = kv.key;
+    w[0] = load_be(k.data(), std::min<std::size_t>(k.size(), 8));
+    const std::size_t tail = k.size() > 8 ? std::min<std::size_t>(k.size() - 8, 7) : 0;
+    w[1] = (tail > 0 ? load_be(k.data() + 8, tail) : 0) | std::min<std::size_t>(k.size(), 16);
+    return k.size() <= 15;
+  };
+  return col;
+}
+
+KeyColumn KeyColumn::u64_key() {
+  KeyColumn col;
+  col.extract = [](const KvPair& kv, std::uint64_t* w) {
+    PAPAR_CHECK_MSG(kv.key.size() == sizeof(std::uint64_t), "u64 key column needs 8-byte keys");
+    w[0] = load_le<std::uint64_t>(kv.key.data());
+    return true;
+  };
+  return col;
+}
+
+KeyColumn KeyColumn::partition_stamp() {
+  KeyColumn col;
+  col.words = 2;
+  // The words encode the whole key, so this orders equal (partition, stamp)
+  // pairs by value bytes.
+  col.tie_break = TieBreak::kRecordBytes;
+  col.extract = [](const KvPair& kv, std::uint64_t* w) {
+    PAPAR_CHECK_MSG(kv.key.size() == sizeof(std::uint32_t) + sizeof(std::uint64_t),
+                    "partition-stamp column needs 12-byte keys");
+    w[0] = load_le<std::uint32_t>(kv.key.data());
+    w[1] = load_le<std::uint64_t>(kv.key.data() + sizeof(std::uint32_t));
+    return true;
+  };
+  return col;
+}
+
+KeyColumn KeyColumn::projection(std::function<std::uint64_t(const KvPair&)> proj,
+                                bool tie_break_bytes) {
+  KeyColumn col;
+  col.tie_break = tie_break_bytes ? TieBreak::kRecordBytes : TieBreak::kStable;
+  col.extract = [proj = std::move(proj)](const KvPair& kv, std::uint64_t* w) {
+    w[0] = proj(kv);
+    return false;
+  };
+  return col;
+}
+
+bool KeyColumn::less(const KvPair& a, const KvPair& b) const {
+  std::uint64_t wa[2] = {};
+  std::uint64_t wb[2] = {};
+  extract(a, wa);
+  extract(b, wb);
+  for (int i = 0; i < words; ++i) {
+    if (wa[i] != wb[i]) return wa[i] < wb[i];
+  }
+  return tie_less(tie_break, a, b);
+}
+
+std::vector<std::size_t> MapReduce::order_by_key(const KeyColumn& col) {
+  PAPAR_CHECK_MSG(col.words == 1 || col.words == 2, "a key column has one or two words");
+  const std::size_t n = page_.count();
+  const bool radix = use_radix(n);
+  sortlib::RadixStats rstats;
+  auto order = col.words == 2 ? sort_key_column<2>(page_, col, radix, rstats)
+                              : sort_key_column<1>(page_, col, radix, rstats);
   if (obs::Recorder* rec = comm_->recorder()) {
     rec->add_counter("sort.records", n);
-    rec->add_counter("sort.engine_radix", 1);
-    rec->add_counter("sort.radix_passes", rstats.passes);
-    rec->add_counter("sort.radix_passes_skipped", rstats.skipped_passes);
+    rec->add_counter(radix ? "sort.engine_radix" : "sort.engine_merge", 1);
+    if (radix) {
+      rec->add_counter("sort.radix_passes", rstats.passes);
+      rec->add_counter("sort.radix_passes_skipped", rstats.skipped_passes);
+    }
   }
   comm_->note_sort_progress(n);
+  return order;
+}
+
+void MapReduce::sort_by_key(const KeyColumn& col) {
+  // The in-memory path holds the key column, then a full second copy of the
+  // page for reorder(); when the larger of the two would push the rank past
+  // its soft watermark, sort externally instead: sorted runs spill to disk
+  // and a streaming merge rebuilds the page, byte-identical to the in-memory
+  // result.
+  const std::size_t column_bytes = key_column_bytes(col, page_.count());
+  if (spill_ready(budget_) &&
+      budget_->should_spill(comm_->rank(), std::max(column_bytes, page_.byte_size()))) {
+    if (obs::Recorder* rec = comm_->recorder()) {
+      rec->add_counter("sort.records", page_.count());
+      rec->add_counter("sort.engine_merge", 1);
+    }
+    comm_->note_sort_progress(page_.count());
+    external_stable_sort(
+        page_, [&col](const KvPair& a, const KvPair& b) { return col.less(a, b); },
+        make_spill_config(budget_, comm_->rank()));
+    return;
+  }
+  std::vector<std::size_t> order;
+  {
+    BudgetScope column(budget_, comm_->rank(), column_bytes);
+    order = order_by_key(col);
+  }
   BudgetScope copy(budget_, comm_->rank(), page_.byte_size());
   page_.reorder(order);
 }
@@ -747,10 +888,8 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
   }
 
   // Final stable local sort by the directed projection (full-byte
-  // tie-break makes the order total when requested). The projection sort
-  // takes the radix column path when the engine allows it and falls back
-  // to the comparator sort (external under a tight budget) otherwise.
-  local_sort_by_projection(directed, tie_break_bytes);
+  // tie-break makes the order total when requested).
+  sort_by_key(KeyColumn::projection(directed, tie_break_bytes));
 }
 
 void MapReduce::gather(int root) {

@@ -39,6 +39,47 @@ enum class SplitterMethod {
   kNaive,
 };
 
+/// What MapReduce::sort_by_key orders a page by: per record, a fixed-width,
+/// byte-order-preserving key of one or two u64 words (compared
+/// lexicographically, words[0] first), and how records whose words are equal
+/// are ordered. The order is stable and total: ties left after the tie-break
+/// keep page order. Build one with the factories below.
+struct KeyColumn {
+  /// What decides between records whose key words are equal.
+  enum class TieBreak {
+    kStable,       ///< page order
+    kKeyBytes,     ///< full key bytes, then page order
+    kRecordBytes,  ///< key bytes, then value bytes, then page order
+  };
+  /// Writes a record's `words` key words. Returns true when the words encode
+  /// the whole key, so equal words mean equal keys and a kKeyBytes tie-break
+  /// has nothing left to decide.
+  using Extract = std::function<bool(const KvPair& kv, std::uint64_t* words)>;
+
+  Extract extract;
+  int words = 1;  ///< 1 or 2
+  TieBreak tie_break = TieBreak::kStable;
+
+  /// Raw key bytes in lexicographic order: key bytes 0-14 big-endian, then
+  /// min(length, 16) in the last byte, so keys of up to 15 bytes are ordered
+  /// by the words alone; longer keys tie-break on their full bytes.
+  static KeyColumn key_bytes();
+  /// The key as a native u64 (8-byte keys), page order on ties.
+  static KeyColumn u64_key();
+  /// Distribute's [u32 partition][u64 stamp] keys: by partition, then
+  /// stamp, then value bytes.
+  static KeyColumn partition_stamp();
+  /// A caller-provided u64 projection, tie-broken by record bytes when
+  /// `tie_break_bytes`, by page order otherwise.
+  static KeyColumn projection(std::function<std::uint64_t(const KvPair&)> proj,
+                              bool tie_break_bytes);
+
+  /// Strict-weak "less" over records implied by this column: the
+  /// comparator that a stable comparison sort would need to reproduce
+  /// sort_by_key's order (the external spill sort uses it).
+  bool less(const KvPair& a, const KvPair& b) const;
+};
+
 class MapReduce {
  public:
   using MapTaskFn = std::function<void(int itask, KvEmitter&)>;
@@ -92,9 +133,15 @@ class MapReduce {
 
   // -- Sort ----------------------------------------------------------------
 
-  /// Stable local sort by a caller-provided comparison on (key, value).
-  void local_sort(
-      const std::function<bool(const KvPair&, const KvPair&)>& less);
+  /// Stable local sort by `col`; the only way a page gets locally ordered.
+  /// One pass extracts a {key words, record offset} column, which is
+  /// LSD-radix-sorted when the SortEngine allows it (kAuto from
+  /// sortlib::kRadixAutoCutoff records, or kRadix) and comparison-sorted
+  /// otherwise; runs of equal words are then tie-broken on record bytes and
+  /// the page is rebuilt with one reorder. Past the budget's soft watermark
+  /// the page is sorted externally (runs spill to disk) with `col.less`.
+  /// Output bytes are identical on every path.
+  void sort_by_key(const KeyColumn& col);
 
   /// Global sort: after the call, records are ordered by `proj` within each
   /// rank and ranges are ordered across ranks (rank 0 holds the smallest
@@ -144,15 +191,11 @@ class MapReduce {
   /// payload bytes (observability counters only).
   void shuffle_segmented(const std::vector<std::size_t>& dest_bytes);
 
-  /// Final local sort of sample_sort_u64: stable order by the directed
-  /// projection, tie-broken by raw record bytes when requested. Takes the
-  /// LSD radix path over a contiguous {projection, index} column when the
-  /// process-wide SortEngine allows it (kAuto past the cutoff, or kRadix),
-  /// byte-identical to the comparator stable sort; kMergesort and
-  /// budget-spill runs keep the comparator path.
-  void local_sort_by_projection(
-      const std::function<std::uint64_t(const KvPair&)>& proj,
-      bool tie_break_bytes);
+  /// Record offsets of the page in `col` order: the in-memory body of
+  /// sort_by_key, also used directly by reduce, which walks the groups in
+  /// this order instead of rebuilding the page. Bumps the sort.* counters;
+  /// charges nothing to the memory budget (sort_by_key charges the column).
+  std::vector<std::size_t> order_by_key(const KeyColumn& col);
 
   mp::Comm* comm_;
   MemoryBudget* budget_ = nullptr;

@@ -295,7 +295,12 @@ double pct(double part, double whole) {
 
 void print_critical_path(std::FILE* out, const CriticalPath& path,
                          const TraceData& trace) {
-  std::fprintf(out, "critical path: %.6f s over %zu segments (makespan %.6f s)\n",
+  // The trace's makespan runs to the last traced event, so it includes the
+  // engine's `output` stage — unlike RunStats::makespan, which stops at the
+  // last partitioning job.
+  std::fprintf(out,
+               "critical path: %.6f s over %zu segments (trace makespan %.6f s, "
+               "output included)\n",
                path.attributed(), path.segments.size(), trace.makespan());
   std::fprintf(out, "  %-10s %12s %7s\n", "kind", "seconds", "share");
   for (const auto& [kind, seconds] : path.by_kind) {

@@ -293,10 +293,8 @@ TEST(Backpressure, BudgetedShuffleIsByteIdenticalAndSpills) {
       mapred.mutable_local().add(key, value);
     }
     mapred.aggregate();
-    mapred.local_sort([](const mr::KvPair& a, const mr::KvPair& b) {
-      if (a.key != b.key) return a.key < b.key;
-      return a.value < b.value;
-    });
+    mapred.sort_by_key(mr::KeyColumn::projection(
+        [](const mr::KvPair&) { return std::uint64_t{0}; }, /*tie_break_bytes=*/true));
     std::lock_guard<std::mutex> lock(*mu);
     auto& slot = (*out)[static_cast<std::size_t>(comm.rank())];
     slot.assign(mapred.local().bytes().begin(), mapred.local().bytes().end());
@@ -401,6 +399,73 @@ TEST(EngineGovernance, BudgetedRunIsByteIdenticalAndReportsMemory) {
   EXPECT_EQ(governed.report.memory.budget_bytes, tight.mem_budget);
   EXPECT_GT(governed.report.memory.spill_bytes, 0u);
   EXPECT_GT(governed.report.memory.high_water_bytes, 0u);
+
+  EXPECT_TRUE(!std::filesystem::exists(dir) ||
+              std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
+// Group (reduce's key-column order), split and distribute (sort_by_key): the
+// sorting jobs of the hybrid-cut workflow, on pairs grouped by `k`.
+const char* kGroupWorkflow = R"(
+  <workflow id="w">
+    <arguments><param name="input_path" type="hdfs" format="pairs"/></arguments>
+    <operators>
+      <operator id="group" operator="group">
+        <param name="inputPath" value="$input_path"/>
+        <param name="outputPath" value="/tmp/group" format="pack"/>
+        <param name="key" value="k"/>
+        <addon operator="count" key="k" attr="n"/>
+      </operator>
+      <operator id="split" operator="Split">
+        <param name="inputPath" value="$group.outputPath"/>
+        <param name="outputPathList" value="/tmp/split/many, /tmp/split/few"
+               format="unpack,orig"/>
+        <param name="key" value="$group.$n"/>
+        <param name="policy" value="{&gt;=, 12},{&lt;, 12}"/>
+      </operator>
+      <operator id="distr" operator="Distribute">
+        <param name="inputPath" value="/tmp/split/"/>
+        <param name="outputPath" value="parts"/>
+        <param name="policy" value="cyclic"/>
+        <param name="numPartitions" value="5"/>
+      </operator>
+    </operators>
+  </workflow>)";
+
+core::PartitionResult run_group_workflow(const std::string& content,
+                                         core::EngineOptions opts) {
+  core::WorkflowEngine engine(
+      core::parse_workflow(xml::parse(kGroupWorkflow)),
+      {{"pairs", schema::parse_input_spec(xml::parse(kPairsSpec))}},
+      {{"input_path", "data"}}, opts);
+  mp::Runtime rt(3, mp::NetworkModel::zero());
+  return engine.run(rt, {{"data", content}});
+}
+
+TEST(EngineGovernance, BudgetedGroupRunIsByteIdentical) {
+  const auto dir = std::filesystem::temp_directory_path() / "papar_group_spill";
+  std::filesystem::remove_all(dir);
+  // ~12 records per key, so the split policy sends keys both ways.
+  const std::string content = pairs_content(12000, 91);
+
+  const auto plain = run_group_workflow(content, {});
+  ASSERT_FALSE(plain.partitions.empty());
+
+  core::EngineOptions probe;
+  probe.mem_budget = std::size_t{1} << 30;
+  probe.spill_dir = dir.string();
+  const auto probed = run_group_workflow(content, probe);
+  ASSERT_EQ(probed.partitions, plain.partitions);
+  ASSERT_GT(probed.report.memory.high_water_bytes, 0u);
+
+  core::EngineOptions tight;
+  tight.mem_budget =
+      std::max<std::size_t>(probed.report.memory.high_water_bytes / 4, 1024);
+  tight.spill_dir = dir.string();
+  const auto governed = run_group_workflow(content, tight);
+  EXPECT_EQ(governed.partitions, plain.partitions);
+  EXPECT_GT(governed.report.memory.spill_bytes, 0u);
 
   EXPECT_TRUE(!std::filesystem::exists(dir) ||
               std::filesystem::is_empty(dir));

@@ -557,7 +557,7 @@ TEST(MapReduce, LocalSortIsStable) {
     mr.mutable_local().add("a", "2");
     mr.mutable_local().add("b", "3");
     mr.mutable_local().add("a", "4");
-    mr.local_sort([](const KvPair& x, const KvPair& y) { return x.key < y.key; });
+    mr.sort_by_key(KeyColumn::key_bytes());
     std::vector<std::string> vals;
     mr.local().for_each([&](std::string_view, std::string_view v) { vals.emplace_back(v); });
     EXPECT_EQ(vals, (std::vector<std::string>{"2", "4", "1", "3"}));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 
@@ -401,6 +402,30 @@ TEST(Operators, DistributeGraphVertexCutPlacesGroupsWhole) {
       EXPECT_EQ(parts.size(), 1u) << "vertex " << v << " was split";
     }
   });
+}
+
+TEST(Operators, DistributeTypeChangingProjectionThrowsOnEveryRank) {
+  mp::Runtime rt(3, mp::NetworkModel::zero());
+  const Schema s = edge_schema();
+  Schema retyped;
+  retyped.add_field("vertex_a", FieldType::kString, "\t")
+      .add_field("vertex_b", FieldType::kInt64);
+  const std::vector<Record> edges{Record(std::vector<Value>{std::string("a"), std::string("b")})};
+  std::atomic<int> threw{0};
+  rt.run([&](mp::Comm& comm) {
+    // One record in total: ranks 1 and 2 hold none and must still fail,
+    // before any communication, so no rank waits on a failed peer.
+    Dataset ds = slice_of(s, edges, comm.rank(), comm.size());
+    EXPECT_EQ(ds.page.count(), comm.rank() == 0 ? 1u : 0u);
+    std::vector<Dataset*> inputs{&ds};
+    DistributeArgs args;
+    args.policy = DistrPolicyKind::kCyclic;
+    args.num_partitions = 2;
+    args.output_schema = retyped;
+    EXPECT_THROW(distribute_op(comm, inputs, args), ConfigError) << "rank " << comm.rank();
+    ++threw;
+  });
+  EXPECT_EQ(threw.load(), 3);
 }
 
 TEST(Operators, PackUnpackRoundTrip) {

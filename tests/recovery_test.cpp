@@ -130,9 +130,8 @@ void mapreduce_job(mp::Comm& comm, std::string* result) {
     out.emit("key" + std::to_string(task % 5), "v" + std::to_string(task));
   });
   mapred.aggregate();
-  mapred.local_sort([](const mr::KvPair& a, const mr::KvPair& b) {
-    return a.key < b.key || (a.key == b.key && a.value < b.value);
-  });
+  mapred.sort_by_key(mr::KeyColumn::projection(
+      [](const mr::KvPair&) { return std::uint64_t{0}; }, /*tie_break_bytes=*/true));
   mapred.gather(0);
   if (comm.rank() == 0 && result != nullptr) {
     *result = str_of(mapred.local().bytes());

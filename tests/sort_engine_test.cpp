@@ -2,21 +2,31 @@
 // SIMD sorting-network/merge kernels must be byte-identical to their scalar
 // and std::stable_sort baselines on adversarial distributions — all-equal,
 // presorted, reversed, duplicate-heavy, denormal/NaN-adjacent floats, and
-// sizes straddling every network and radix cutoff.
+// sizes straddling every network and radix cutoff. MapReduce's key-column
+// sort (sort_by_key, and reduce's group-by order) is held to the same
+// standard against std::stable_sort with the per-operator comparators it
+// replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "mapreduce/mapreduce.hpp"
+#include "mpsim/runtime.hpp"
+#include "obs/obs.hpp"
 #include "sortlib/radix.hpp"
 #include "sortlib/simd.hpp"
 #include "sortlib/sort.hpp"
+#include "util/membudget.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -327,6 +337,242 @@ TEST(SimdKernels, ParallelSortByteIdenticalUnderForcedScalar) {
     EXPECT_EQ(vector_path, expect) << "n=" << n;
     EXPECT_EQ(scalar_path, expect) << "n=" << n;
   }
+}
+
+// -- Key-column sort vs the comparator stable sort ----------------------------
+
+using mr::KeyColumn;
+using mr::KvBuffer;
+using mr::KvPair;
+using KvLess = std::function<bool(const KvPair&, const KvPair&)>;
+
+/// A key that stresses the normalized two-word prefix: lengths on both sides
+/// of the 8- and 16-byte word boundaries (0, 7, 8, 9, 15, 16, 17), bytes from
+/// {0x00, 0x01, 0x7F, 0xFF}, and half the keys cut from three shared bases
+/// so that mutual prefixes and equal 15-byte prefixes with different tails
+/// are common.
+std::string edge_key_of_len(Rng& rng, std::size_t len) {
+  static const unsigned char kBytes[] = {0x00, 0x01, 0x7F, 0xFF};
+  std::string k(len, '\0');
+  if (rng.next_below(2) == 0) {
+    const unsigned char base = kBytes[rng.next_below(3)];
+    std::fill(k.begin(), k.end(), static_cast<char>(base));
+    if (len > 0 && rng.next_below(2) == 0) {
+      k.back() = static_cast<char>(kBytes[rng.next_below(std::size(kBytes))]);
+    }
+  } else {
+    for (auto& c : k) c = static_cast<char>(kBytes[rng.next_below(std::size(kBytes))]);
+  }
+  return k;
+}
+
+const std::size_t kKeyLens[] = {0, 1, 7, 8, 9, 15, 16, 17};
+
+std::string edge_key(Rng& rng) {
+  return edge_key_of_len(rng, kKeyLens[rng.next_below(std::size(kKeyLens))]);
+}
+
+std::string edge_value(Rng& rng) {
+  std::string v(rng.next_below(4), '\0');
+  for (auto& c : v) c = static_cast<char>(rng.next_below(3) == 0 ? 0xFF : rng.next_below(3));
+  return v;
+}
+
+/// Distribute's [u32 partition][u64 stamp] key; few distinct values, so
+/// equal (partition, stamp) pairs with different values are common.
+std::string partition_stamp_key(Rng& rng) {
+  static const std::uint32_t kParts[] = {0, 1, 7, 0xFFFFFFFFu};
+  static const std::uint64_t kStamps[] = {0, 1, 255, 256, std::uint64_t{1} << 63,
+                                          ~std::uint64_t{0}};
+  const std::uint32_t part = kParts[rng.next_below(std::size(kParts))];
+  const std::uint64_t stamp = kStamps[rng.next_below(std::size(kStamps))];
+  std::string k(sizeof(part) + sizeof(stamp), '\0');
+  std::memcpy(k.data(), &part, sizeof(part));
+  std::memcpy(k.data() + sizeof(part), &stamp, sizeof(stamp));
+  return k;
+}
+
+std::string u64_key(Rng& rng) {
+  const std::uint64_t x = rng.next_below(3) == 0 ? ~std::uint64_t{0} - rng.next_below(2)
+                                                 : rng.next_below(40);
+  std::string k(sizeof(x), '\0');
+  std::memcpy(k.data(), &x, sizeof(x));
+  return k;
+}
+
+std::uint64_t value_projection(const KvPair& kv) {
+  return kv.value.empty() ? 0 : static_cast<unsigned char>(kv.value[0]) % 3;
+}
+
+/// One column under test: how to make its keys, the column, and the
+/// comparator the operator used before the key-column sort.
+struct ColumnCase {
+  std::string name;
+  std::function<std::string(Rng&)> key;
+  KeyColumn column;
+  KvLess old_less;
+};
+
+std::vector<ColumnCase> column_cases() {
+  auto le = [](std::string_view s, std::size_t at, auto zero) {
+    std::memcpy(&zero, s.data() + at, sizeof(zero));
+    return zero;
+  };
+  auto key_less = [](const KvPair& a, const KvPair& b) { return a.key < b.key; };
+  std::vector<ColumnCase> cases = {
+      {"key_bytes (reduce, group)", edge_key, KeyColumn::key_bytes(), key_less},
+      {"record bytes (constant projection)", edge_key,
+       KeyColumn::projection([](const KvPair&) { return std::uint64_t{0}; },
+                             /*tie_break_bytes=*/true),
+       [](const KvPair& a, const KvPair& b) {
+         return a.key < b.key || (a.key == b.key && a.value < b.value);
+       }},
+      {"all-equal keys", [](Rng&) { return std::string("same key, 17 bytes"); },
+       KeyColumn::key_bytes(), key_less},
+      {"partition_stamp (distribute)", partition_stamp_key, KeyColumn::partition_stamp(),
+       [le](const KvPair& a, const KvPair& b) {
+         const auto pa = le(a.key, 0, std::uint32_t{});
+         const auto pb = le(b.key, 0, std::uint32_t{});
+         const auto sa = le(a.key, 4, std::uint64_t{});
+         const auto sb = le(b.key, 4, std::uint64_t{});
+         if (pa != pb) return pa < pb;
+         if (sa != sb) return sa < sb;
+         return a.value < b.value;
+       }},
+      {"u64_key (rebalance)", u64_key, KeyColumn::u64_key(),
+       [le](const KvPair& a, const KvPair& b) {
+         return le(a.key, 0, std::uint64_t{}) < le(b.key, 0, std::uint64_t{});
+       }},
+      {"projection+bytes (sample sort)", edge_key,
+       KeyColumn::projection(value_projection, /*tie_break_bytes=*/true),
+       [](const KvPair& a, const KvPair& b) {
+         const auto pa = value_projection(a);
+         const auto pb = value_projection(b);
+         if (pa != pb) return pa < pb;
+         if (a.key != b.key) return a.key < b.key;
+         return a.value < b.value;
+       }},
+      {"projection (sample sort, stable)", edge_key,
+       KeyColumn::projection(value_projection, /*tie_break_bytes=*/false),
+       [](const KvPair& a, const KvPair& b) {
+         return value_projection(a) < value_projection(b);
+       }},
+  };
+  // One key length per page, so equal-word runs cannot borrow a tie-break
+  // from a key of another length.
+  for (const std::size_t len : kKeyLens) {
+    cases.push_back({"key_bytes, length " + std::to_string(len),
+                     [len](Rng& rng) { return edge_key_of_len(rng, len); },
+                     KeyColumn::key_bytes(), key_less});
+  }
+  return cases;
+}
+
+KvBuffer make_page(const ColumnCase& c, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  KvBuffer page;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string k = c.key(rng);
+    page.add(k, edge_value(rng));
+  }
+  return page;
+}
+
+std::vector<unsigned char> stable_sorted(const KvBuffer& src, const KvLess& less) {
+  KvBuffer page = src;
+  auto offs = page.offsets();
+  std::stable_sort(offs.begin(), offs.end(), [&](std::size_t a, std::size_t b) {
+    return less(page.at(a), page.at(b));
+  });
+  page.reorder(offs);
+  return page.bytes();
+}
+
+/// Runs `fn` on a one-rank MapReduce holding a copy of `src`; returns the
+/// page afterwards.
+std::vector<unsigned char> on_one_rank(const KvBuffer& src,
+                                       const std::function<void(mr::MapReduce&)>& fn,
+                                       obs::Recorder* rec = nullptr,
+                                       MemoryBudget* budget = nullptr) {
+  mp::Runtime rt(1, mp::NetworkModel::zero());
+  if (rec != nullptr) rt.set_recorder(rec);
+  if (budget != nullptr) rt.set_memory_budget(budget);
+  std::vector<unsigned char> out;
+  rt.run([&](mp::Comm& comm) {
+    mr::MapReduce mapred(comm);
+    mapred.mutable_local() = src;
+    fn(mapred);
+    out = mapred.local().bytes();
+  });
+  return out;
+}
+
+const std::vector<std::size_t> kColumnSizes = {0, 1, 2, 300, kRadixAutoCutoff - 1,
+                                               kRadixAutoCutoff + 77};
+
+TEST(KeyColumnSort, MatchesComparatorStableSortOnEveryEngine) {
+  for (const auto& c : column_cases()) {
+    for (const std::size_t n : kColumnSizes) {
+      const KvBuffer src = make_page(c, n, 0xC011u + n);
+      const auto expected = stable_sorted(src, c.old_less);
+      for (const SortEngine engine :
+           {SortEngine::kAuto, SortEngine::kMergesort, SortEngine::kRadix}) {
+        SortEngineScope scope(engine);
+        obs::Recorder rec;
+        const auto got =
+            on_one_rank(src, [&](mr::MapReduce& m) { m.sort_by_key(c.column); }, &rec);
+        EXPECT_EQ(got, expected) << c.name << " n=" << n << " engine="
+                                 << sort_engine_name(engine);
+        const bool radix = engine == SortEngine::kRadix ||
+                           (engine == SortEngine::kAuto && n >= kRadixAutoCutoff);
+        EXPECT_EQ(rec.counter("sort.records"), n);
+        EXPECT_EQ(rec.counter(radix ? "sort.engine_radix" : "sort.engine_merge"), 1u)
+            << c.name << " n=" << n << " engine=" << sort_engine_name(engine);
+      }
+    }
+  }
+}
+
+TEST(KeyColumnSort, ReduceGroupsInOldKeyOrderAndCountsTheSort) {
+  // reduce() walks the key column's order without rebuilding the page;
+  // emitting every value back under its key must reproduce the stable sort
+  // by key bytes that it used to run.
+  ColumnCase c = column_cases()[0];
+  for (const std::size_t n : kColumnSizes) {
+    const KvBuffer src = make_page(c, n, 0x6E0Bu + n);
+    const auto expected = stable_sorted(src, c.old_less);
+    obs::Recorder rec;
+    const auto got = on_one_rank(src, [](mr::MapReduce& m) {
+      m.reduce([](std::string_view key, std::span<const std::string_view> values,
+                  mr::KvEmitter& out) {
+        for (auto v : values) out.emit(key, v);
+      });
+    }, &rec);
+    EXPECT_EQ(got, expected) << "n=" << n;
+    EXPECT_EQ(rec.counter("sort.records"), n);
+    EXPECT_EQ(rec.counter("sort.engine_radix") + rec.counter("sort.engine_merge"), 1u);
+  }
+}
+
+TEST(KeyColumnSort, SpillBudgetTakesExternalSortAndMatches) {
+  const auto dir = std::filesystem::temp_directory_path() / "papar_key_column_spill";
+  std::filesystem::remove_all(dir);
+  for (const auto& c : column_cases()) {
+    const KvBuffer src = make_page(c, 600, 0x5B11u);
+    const auto expected = stable_sorted(src, c.old_less);
+    // A 64-byte soft watermark puts every page past it: the sort must take
+    // external_stable_sort with the comparator derived from the column.
+    MemoryBudget budget({.hard_limit = 1 << 20, .soft_limit = 64,
+                         .spill_dir = dir.string()});
+    obs::Recorder rec;
+    const auto got =
+        on_one_rank(src, [&](mr::MapReduce& m) { m.sort_by_key(c.column); }, &rec, &budget);
+    EXPECT_EQ(got, expected) << c.name;
+    EXPECT_GT(budget.spill_bytes(), 0u) << c.name;
+    EXPECT_EQ(rec.counter("sort.engine_merge"), 1u) << c.name;
+  }
+  EXPECT_TRUE(!std::filesystem::exists(dir) || std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -338,8 +338,8 @@ int run(int argc, char** argv) {
                result.partitions.size(), result.total_records(), out_base.c_str());
   if (opt.stats) {
     std::fprintf(stderr,
-                 "papar: simulated partitioning time %.4f s, shuffle %.2f MB in "
-                 "%llu messages\n",
+                 "papar: simulated partitioning time %.4f s (output excluded), "
+                 "shuffle %.2f MB in %llu messages\n",
                  result.stats.makespan,
                  static_cast<double>(result.stats.remote_bytes) / 1e6,
                  static_cast<unsigned long long>(result.stats.remote_messages));
