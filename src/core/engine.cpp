@@ -498,12 +498,10 @@ PartitionResult WorkflowEngine::run(
     runtime.set_recovery(std::move(ropts));
   }
 
-  // Install the run's sort-engine and shuffle wire-format knobs as the
-  // process-wide defaults for the run's duration (every rank thread shares
-  // the process, so sender and receiver always agree); the scopes restore
-  // the previous defaults on exit, exceptions included.
+  // Install the run's sort-engine knob as the process-wide default for the
+  // run's duration; the scope restores the previous default on exit,
+  // exceptions included.
   sortlib::SortEngineScope sort_scope(options_.sort_engine);
-  mr::PageFormatScope pages_scope(options_.pages);
 
   auto body = [&](mp::Comm& comm) {
     // Stage labels feed both the causal tracer and the memory budget's

@@ -22,7 +22,6 @@
 #include "core/operators.hpp"
 #include "core/registry.hpp"
 #include "core/workflow.hpp"
-#include "mapreduce/columnar.hpp"
 #include "mpsim/runtime.hpp"
 #include "obs/obs.hpp"
 #include "schema/input_config.hpp"
@@ -37,10 +36,6 @@ struct EngineOptions {
   /// the process-wide default for the run's duration. kAuto dispatches on
   /// key type and input size (sortlib/sort.hpp).
   sortlib::SortEngine sort_engine = sortlib::SortEngine::kAuto;
-  /// Shuffle wire format for the run (--pages=framed|columnar): columnar
-  /// batches ship one key column + one value column per destination with
-  /// fixed-stride size elision; partitions are byte-identical either way.
-  mr::PageFormat pages = mr::PageFormat::kFramed;
   /// CSC compression of packed groups (§III-D compression).
   bool compress_packed = false;
   /// Where stage checkpoints additionally spill to disk. Checkpointing

@@ -5,7 +5,6 @@
 #include <limits>
 #include <string>
 
-#include "mapreduce/columnar.hpp"
 #include "mapreduce/spill.hpp"
 #include "sortlib/radix.hpp"
 #include "sortlib/sort.hpp"
@@ -106,33 +105,6 @@ void MapReduce::shuffle_by(const std::function<int(const KvPair&)>& route) {
   const int p = comm_->size();
   const std::uint64_t routed = page_.count();
 
-  if (comm_->network().copy_payloads) {
-    // Measured "before" baseline (see NetworkModel::copy_payloads): the
-    // pre-arena shuffle re-serialized every record individually into fresh
-    // per-destination buffers. Kept verbatim so tools/run_bench can A/B the
-    // whole shuffle path, not just the mailbox copy.
-    std::vector<KvBuffer> outgoing(static_cast<std::size_t>(p));
-    page_.for_each([&](std::string_view k, std::string_view v) {
-      const int dest = route(KvPair{k, v});
-      PAPAR_CHECK_MSG(dest >= 0 && dest < p, "partitioner returned an invalid rank");
-      outgoing[static_cast<std::size_t>(dest)].add(k, v);
-    });
-    page_.clear();
-    std::vector<std::vector<unsigned char>> send;
-    send.reserve(static_cast<std::size_t>(p));
-    for (auto& buf : outgoing) send.push_back(buf.take_bytes());
-    if (obs::Recorder* rec = comm_->recorder()) {
-      std::uint64_t bytes = 0;
-      for (const auto& b : send) bytes += b.size();
-      rec->add_counter("mr.shuffle.records", routed);
-      rec->add_counter("mr.shuffle.bytes", bytes);
-      rec->add_counter("mr.shuffle.wire_bytes", bytes);
-    }
-    auto received = comm_->alltoallv(std::move(send));
-    for (const auto& part : received) page_.append_page(part.data(), part.size());
-    return;
-  }
-
   // Sizing pass: run the routing function exactly once per record (it may
   // be stateful — sample_sort's tie spreader is), cache the destination,
   // and accumulate exact per-destination byte counts.
@@ -147,16 +119,19 @@ void MapReduce::shuffle_by(const std::function<int(const KvPair&)>& route) {
         dest_bytes[static_cast<std::size_t>(dest)] += framed.size();
       });
 
+  std::size_t total_bytes = 0;
+  for (std::size_t b : dest_bytes) total_bytes += b;
+  if (obs::Recorder* rec = comm_->recorder()) {
+    rec->add_counter("mr.shuffle.records", routed);
+    rec->add_counter("mr.shuffle.bytes", total_bytes);
+    // Fabric payload: the framed pages travel as they are on both paths.
+    rec->add_counter("mr.shuffle.wire_bytes", total_bytes);
+  }
+
   // Credit-governed runtimes take the segmented path: many bounded
   // segments per destination instead of one page-sized buffer per rank,
   // so neither the send side nor any mailbox ever holds the whole stage.
   if (budget_ != nullptr && budget_->config().mailbox_limit > 0) {
-    if (obs::Recorder* rec = comm_->recorder()) {
-      std::uint64_t bytes = 0;
-      for (std::size_t b : dest_bytes) bytes += b;
-      rec->add_counter("mr.shuffle.records", routed);
-      rec->add_counter("mr.shuffle.bytes", bytes);
-    }
     shuffle_segmented(dest_bytes);
     return;
   }
@@ -165,71 +140,27 @@ void MapReduce::shuffle_by(const std::function<int(const KvPair&)>& route) {
   // recycled from the previous shuffle's received buffers — so
   // steady-state aggregate() loops allocate nothing per call.
   // With a (non-credit) budget attached, the arena counts as tracked
-  // working memory: a stage that cannot fit fails typed, not OOM. The
-  // framed byte totals drive the charge under both wire formats (for
-  // columnar they bound the batch working set from above).
-  BudgetScope arena_scope(
-      budget_, comm_->rank(),
-      [&dest_bytes] {
-        std::size_t total = 0;
-        for (std::size_t b : dest_bytes) total += b;
-        return total;
-      }());
-  const PageFormat format = default_page_format();
+  // working memory: a stage that cannot fit fails typed, not OOM.
+  BudgetScope arena_scope(budget_, comm_->rank(), total_bytes);
   arena_.resize(static_cast<std::size_t>(p));
-  if (format == PageFormat::kColumnar) {
-    // Columnar fill: accumulate each destination's records column-wise and
-    // encode one batch per rank — fixed-stride size columns collapse to a
-    // single u32, so uniform records shed the 8-byte per-record framing.
-    std::vector<ColumnarWriter> writers(static_cast<std::size_t>(p));
-    std::size_t i = 0;
-    page_.for_each_record(
-        [&](std::span<const unsigned char>, std::string_view k, std::string_view v) {
-          writers[static_cast<std::size_t>(route_cache_[i++])].add(k, v);
-        });
-    page_.clear();
-    for (int r = 0; r < p; ++r) {
-      auto& buf = arena_[static_cast<std::size_t>(r)];
-      buf.clear();
-      writers[static_cast<std::size_t>(r)].finish_into(buf);
-    }
-  } else {
-    // Framed fill: bulk-copy each framed record into its destination page.
-    for (int r = 0; r < p; ++r) {
-      auto& buf = arena_[static_cast<std::size_t>(r)];
-      buf.clear();
-      buf.reserve(dest_bytes[static_cast<std::size_t>(r)]);
-    }
-    std::size_t i = 0;
-    page_.for_each_record(
-        [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
-          auto& buf = arena_[static_cast<std::size_t>(route_cache_[i++])];
-          buf.insert(buf.end(), framed.begin(), framed.end());
-        });
-    page_.clear();
+  for (int r = 0; r < p; ++r) {
+    auto& buf = arena_[static_cast<std::size_t>(r)];
+    buf.clear();
+    buf.reserve(dest_bytes[static_cast<std::size_t>(r)]);
   }
-
-  if (obs::Recorder* rec = comm_->recorder()) {
-    std::uint64_t bytes = 0;
-    for (std::size_t b : dest_bytes) bytes += b;
-    std::uint64_t wire = 0;
-    for (const auto& buf : arena_) wire += buf.size();
-    rec->add_counter("mr.shuffle.records", routed);
-    rec->add_counter("mr.shuffle.bytes", bytes);
-    // Actual fabric payload under the selected wire format; the saving of
-    // columnar over framed is (bytes - wire_bytes).
-    rec->add_counter("mr.shuffle.wire_bytes", wire);
-  }
+  std::size_t i = 0;
+  page_.for_each_record(
+      [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
+        auto& buf = arena_[static_cast<std::size_t>(route_cache_[i++])];
+        buf.insert(buf.end(), framed.begin(), framed.end());
+      });
+  page_.clear();
 
   // Ownership-transfer shuffle: the arena pages move into the destination
   // mailboxes uncopied; the buffers received back become the next
   // shuffle's arena storage.
   auto received = comm_->alltoallv(std::move(arena_));
-  if (format == PageFormat::kColumnar) {
-    for (const auto& part : received) append_columnar(page_, part.data(), part.size());
-  } else {
-    for (const auto& part : received) page_.append_page(part.data(), part.size());
-  }
+  for (const auto& part : received) page_.append_page(part.data(), part.size());
   arena_ = std::move(received);
   for (auto& buf : arena_) buf.clear();
 }
@@ -305,16 +236,8 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   // Fill-and-stream pass. The p open segment buffers (≤ p * chunk bytes,
   // about a quarter of the soft watermark) are this path's tracked
   // transient; received segments replace the source page byte-for-byte.
-  // Under the columnar wire format each segment carries one columnar batch
-  // after the header; the greedy cut still runs on framed record sizes, so
-  // segment boundaries — and therefore the announced totals above — are
-  // identical to the framed stream's.
-  const bool columnar = default_page_format() == PageFormat::kColumnar;
-  std::vector<ColumnarWriter> writers(columnar ? static_cast<std::size_t>(p) : 0);
-  std::vector<std::size_t> framed_fill(columnar ? static_cast<std::size_t>(p) : 0, 0);
   std::vector<std::vector<unsigned char>> seg(static_cast<std::size_t>(p));
   std::vector<std::uint32_t> seq_no(static_cast<std::size_t>(p), 0);
-  std::uint64_t wire_bytes = 0;
   auto start_segment = [&](std::size_t d) {
     auto& b = seg[d];
     b.clear();
@@ -334,11 +257,6 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) start_segment(d);
   mp::Envelope env;
   auto flush_segment = [&](std::size_t d) {
-    if (columnar) {
-      writers[d].finish_into(seg[d]);
-      framed_fill[d] = 0;
-    }
-    wire_bytes += seg[d].size() - kSegHeader;
     comm_->shuffle_send(static_cast<int>(d), std::move(seg[d]));
     ++seq_no[d];
     start_segment(d);
@@ -348,36 +266,23 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   };
   std::size_t i = 0;
   page_.for_each_record(
-      [&](std::span<const unsigned char> framed, std::string_view k, std::string_view v) {
+      [&](std::span<const unsigned char> framed, std::string_view, std::string_view) {
         const auto d = static_cast<std::size_t>(route_cache_[i++]);
-        if (columnar) {
-          if (framed_fill[d] > 0 && framed_fill[d] + framed.size() > chunk) {
-            flush_segment(d);
-          }
-          writers[d].add(k, v);
-          framed_fill[d] += framed.size();
-        } else {
-          auto& b = seg[d];
-          if (b.size() > kSegHeader && b.size() - kSegHeader + framed.size() > chunk) {
-            flush_segment(d);
-          }
-          b.insert(b.end(), framed.begin(), framed.end());
+        auto& b = seg[d];
+        if (b.size() > kSegHeader && b.size() - kSegHeader + framed.size() > chunk) {
+          flush_segment(d);
         }
+        b.insert(b.end(), framed.begin(), framed.end());
       });
   // Free the source page before the final sends: the peak is then open
   // segments + received store, never + the outgoing page as well.
   { auto old = page_.take_bytes(); }
   for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) {
-    if (columnar) writers[d].finish_into(seg[d]);
-    wire_bytes += seg[d].size() - kSegHeader;
     comm_->shuffle_send(static_cast<int>(d), std::move(seg[d]));
     while (open > 0 && comm_->try_shuffle_recv(done, env)) note_segment(env);
   }
   seg.clear();
   seg.shrink_to_fit();
-  if (obs::Recorder* rec = comm_->recorder()) {
-    rec->add_counter("mr.shuffle.wire_bytes", wire_bytes);
-  }
 
   // Drain stragglers, blocking per still-open source (FIFO makes a
   // source-targeted blocking receive safe).
@@ -396,11 +301,7 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   // the monolithic alltoallv result — freeing each segment as it lands.
   for (auto& source_segs : store) {
     for (auto& part : source_segs) {
-      if (columnar) {
-        append_columnar(page_, part.data(), part.size());
-      } else {
-        page_.append_page(part.data(), part.size());
-      }
+      page_.append_page(part.data(), part.size());
       part = std::vector<unsigned char>();
     }
     source_segs.clear();

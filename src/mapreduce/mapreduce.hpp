@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "mapreduce/checkpoint.hpp"
-#include "mapreduce/columnar.hpp"
 #include "mapreduce/kvbuffer.hpp"
 #include "mpsim/comm.hpp"
 

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "mpsim/fault.hpp"
-#include "mpsim/network.hpp"
 #include "obs/obs.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -86,7 +85,6 @@ class Comm {
  public:
   int rank() const { return rank_; }
   int size() const;
-  const NetworkModel& network() const;
 
   // -- Point-to-point ------------------------------------------------------
 
@@ -191,9 +189,8 @@ class Comm {
   /// buffers received, indexed by source rank. This is the shuffle
   /// primitive. Payloads are handed off by ownership transfer — each buffer
   /// moves into the destination rank's mailbox and out to the receiver
-  /// untouched, so shuffled bytes are never copied by the runtime (the
-  /// virtual network model still charges the fabric cost; set
-  /// NetworkModel::copy_payloads to restore the copying baseline).
+  /// untouched, so shuffled bytes are never copied by the runtime; the
+  /// virtual network model still charges the fabric cost.
   std::vector<std::vector<unsigned char>> alltoallv(
       std::vector<std::vector<unsigned char>> send_bufs);
 

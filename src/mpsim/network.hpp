@@ -26,15 +26,6 @@ struct NetworkModel {
   /// ~1/11 to model one simulated rank standing in for a 16-core cluster
   /// node running the work data-parallel at ~70% efficiency.
   double compute_scale = 1.0;
-  /// When true, the full pre-zero-copy shuffle baseline is restored, kept
-  /// as the measured "before" of tools/run_bench: ownership-transferring
-  /// sends (alltoallv, the vector&& overloads) copy the payload into the
-  /// mailbox anyway, and MapReduce::shuffle_by re-serializes records
-  /// one by one into fresh buffers instead of bulk-copying through the
-  /// reusable arena. The virtual fabric cost and traffic counters are
-  /// identical either way; only the real CPU the ranks burn (and therefore
-  /// their virtual compute charge) differs.
-  bool copy_payloads = false;
 
   /// Virtual-time cost of moving `bytes` between two distinct ranks.
   double remote_cost(std::size_t bytes) const {
@@ -59,13 +50,6 @@ struct NetworkModel {
   NetworkModel with_compute_scale(double scale) const {
     NetworkModel m = *this;
     m.compute_scale = scale;
-    return m;
-  }
-
-  /// This model with the copying (pre-zero-copy) payload handoff.
-  NetworkModel with_copy_payloads(bool copy) const {
-    NetworkModel m = *this;
-    m.copy_payloads = copy;
     return m;
   }
 };

@@ -818,8 +818,6 @@ Comm::Comm(detail::Shared* shared, int rank) : shared_(shared), rank_(rank) {}
 
 int Comm::size() const { return shared_->size; }
 
-const NetworkModel& Comm::network() const { return shared_->network; }
-
 void Comm::charge_compute() {
   const double now = thread_cpu_seconds();
   if (last_cpu_ > 0.0) {
@@ -1092,11 +1090,6 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
     }
   }
   if (shared_->local_recovery()) ++sent_counts_[{dest, tag}];
-  if (shared_->network.copy_payloads) {
-    // Benchmark baseline: re-materialize the buffer so the sender burns the
-    // same memcpy the copying handoff did.
-    payload = std::vector<unsigned char>(payload.begin(), payload.end());
-  }
   const std::size_t n = payload.size();
   const bool remote = dest != rank_;
   const double send_begin = vtime_;  // before any fault-layer retry charges
@@ -1860,6 +1853,17 @@ void Runtime::set_fault_injector(FaultInjector* injector) {
 FaultInjector* Runtime::fault_injector() const { return shared_->faults; }
 
 void Runtime::set_recovery(RecoveryOptions options) {
+  const RetryPolicy& retry = options.retry;
+  for (const auto& [name, seconds] : {std::pair{"backoff_base", retry.backoff_base},
+                                      std::pair{"backoff_max", retry.backoff_max}}) {
+    if (!std::isfinite(seconds) || seconds < 0.0) {
+      throw ConfigError(std::string("recovery ") + name +
+                        ": must be a finite, nonnegative number of seconds");
+    }
+  }
+  if (retry.max_attempts < 0) {
+    throw ConfigError("recovery max_attempts: must be >= 0");
+  }
   shared_->recovery = std::move(options);
 }
 

@@ -7,15 +7,18 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "util/error.hpp"
 
 namespace papar {
 
 /// Parses the *entire* string as a number of type T. Throws ConfigError
-/// naming `what` on empty input, trailing garbage, or overflow.
+/// naming `what` on empty input, trailing garbage, overflow, or (for
+/// floating-point T) NaN and infinities, which no knob can use.
 template <typename T>
 T parse_number(std::string_view text, std::string_view what) {
   T value{};
@@ -29,6 +32,12 @@ T parse_number(std::string_view text, std::string_view what) {
   if (res.ec != std::errc() || res.ptr != last || text.empty()) {
     throw ConfigError(std::string(what) + ": expected a number, got `" +
                       std::string(text) + "`");
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      throw ConfigError(std::string(what) + ": value `" + std::string(text) +
+                        "` is not a finite number");
+    }
   }
   return value;
 }

@@ -4,6 +4,7 @@
 // crash, or silently-wrong default.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "core/engine.hpp"
@@ -147,7 +148,9 @@ TEST(WorkflowNegative, MalformedWorkflowsAreConfigErrors) {
                ConfigError);
 }
 
-TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
+/// A one-operator Distribute workflow over a text input `in.txt`.
+core::WorkflowEngine distribute_engine(const std::string& num_partitions,
+                                       core::EngineOptions options = {}) {
   const auto spec = schema::parse_input_spec(xml::parse(R"(
       <input id="fmt" name="fmt">
         <input_format>text</input_format>
@@ -166,12 +169,18 @@ TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
             <param name="inputPath" type="String" value="$input_path"/>
             <param name="outputPath" type="String" value="$output_path"/>
             <param name="distrPolicy" type="DistrPolicy" value="roundRobin"/>
-            <param name="numPartitions" type="integer" value="several"/>
+            <param name="numPartitions" type="integer" value=")" +
+                                                 num_partitions + R"("/>
           </operator>
         </operators>
       </workflow>)"));
-  core::WorkflowEngine engine(std::move(wf), {{"fmt", spec}},
-                              {{"input_path", "in.txt"}, {"output_path", "out"}});
+  return core::WorkflowEngine(std::move(wf), {{"fmt", spec}},
+                              {{"input_path", "in.txt"}, {"output_path", "out"}},
+                              std::move(options));
+}
+
+TEST(EngineNegative, BadNumPartitionsIsAConfigError) {
+  auto engine = distribute_engine("several");
   mp::Runtime rt(2, mp::NetworkModel::zero());
   try {
     engine.run(rt, {{"in.txt", "x\ny\n"}});
@@ -199,6 +208,14 @@ TEST(ParseNumberNegative, RejectsGarbageEmptyAndOverflow) {
   }
 }
 
+TEST(ParseNumberNegative, RejectsNonFiniteFloatingPoint) {
+  EXPECT_DOUBLE_EQ(parse_number<double>("0.25", "x"), 0.25);
+  EXPECT_DOUBLE_EQ(parse_number<double>("-1000", "x"), -1000.0);
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"}) {
+    EXPECT_THROW(parse_number<double>(text, "x"), ConfigError) << text;
+  }
+}
+
 // -- Fault specs --------------------------------------------------------------
 
 TEST(FaultSpecNegative, RejectedWithTypedErrors) {
@@ -208,6 +225,44 @@ TEST(FaultSpecNegative, RejectedWithTypedErrors) {
   EXPECT_THROW(mp::FaultPlan::parse("crash=@4"), ConfigError);
   EXPECT_THROW(mp::FaultPlan::parse("unknown_knob=1"), ConfigError);
   EXPECT_THROW(mp::FaultPlan::parse_arg("/does/not/exist.conf"), ConfigError);
+  // Non-finite values: NaN slips past a `p < 0 || p > max` range check, and
+  // an infinite delay makes the simulated time infinite.
+  EXPECT_THROW(mp::FaultPlan::parse("delay=0.5:inf"), ConfigError);
+  EXPECT_THROW(mp::FaultPlan::parse("drop=nan"), ConfigError);
+  EXPECT_THROW(mp::FaultPlan::parse("corrupt=nan"), ConfigError);
+  EXPECT_THROW(mp::FaultPlan::parse("slow=2@nan"), ConfigError);
+}
+
+// -- Recovery policy ----------------------------------------------------------
+
+TEST(RecoveryNegative, BadRetryPolicyIsAConfigError) {
+  mp::Runtime rt(2, mp::NetworkModel::zero());
+  auto with = [](auto mutate) {
+    mp::RecoveryOptions o;
+    o.mode = mp::RecoveryMode::kLocal;
+    mutate(o.retry);
+    return o;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(rt.set_recovery(with([](mp::RetryPolicy& r) { r.backoff_base = -1000; })),
+               ConfigError);
+  EXPECT_THROW(rt.set_recovery(with([&](mp::RetryPolicy& r) { r.backoff_base = nan; })),
+               ConfigError);
+  EXPECT_THROW(rt.set_recovery(with([&](mp::RetryPolicy& r) { r.backoff_max = inf; })),
+               ConfigError);
+  EXPECT_THROW(rt.set_recovery(with([](mp::RetryPolicy& r) { r.backoff_max = -1; })),
+               ConfigError);
+  EXPECT_THROW(rt.set_recovery(with([](mp::RetryPolicy& r) { r.max_attempts = -1; })),
+               ConfigError);
+  EXPECT_NO_THROW(rt.set_recovery(with([](mp::RetryPolicy& r) { r.max_attempts = 0; })));
+
+  // Through the engine, as `papar --retry-backoff -1000` reaches it.
+  core::EngineOptions options;
+  options.recovery.mode = mp::RecoveryMode::kLocal;
+  options.recovery.retry.backoff_base = -1000;
+  auto engine = distribute_engine("2", options);
+  EXPECT_THROW(engine.run(rt, {{"in.txt", "x\ny\n"}}), ConfigError);
 }
 
 }  // namespace

@@ -484,8 +484,7 @@ TEST(MapReduce, RepeatedAggregateReusesArenaAndPreservesRecords) {
 
 TEST(MapReduce, ShuffleCountersMatchRoutedBytes) {
   // mr.shuffle.bytes counts every routed byte (self-destined included),
-  // mr.shuffle.records every routed record — same semantics as the
-  // pre-arena per-record serialization path.
+  // mr.shuffle.records every routed record.
   const int p = 3;
   obs::Recorder rec;
   mp::Runtime rt(p, mp::NetworkModel::zero());
@@ -504,49 +503,8 @@ TEST(MapReduce, ShuffleCountersMatchRoutedBytes) {
   });
   EXPECT_EQ(rec.counter("mr.shuffle.bytes"), page_bytes.load());
   EXPECT_EQ(rec.counter("mr.shuffle.records"), page_records.load());
-}
-
-TEST(MapReduce, LegacyCopyingShuffleMatchesArenaShuffle) {
-  // NetworkModel::copy_payloads selects the pre-arena per-record
-  // serialization path (the run_bench "before"). Both paths must place the
-  // same records on the same ranks and report the same shuffle counters.
-  const int p = 4;
-  std::vector<std::vector<std::vector<unsigned char>>> digests;  // per path
-  std::vector<std::uint64_t> byte_counters;
-  for (const bool copy : {false, true}) {
-    obs::Recorder rec;
-    mp::Runtime rt(p, mp::NetworkModel::zero().with_copy_payloads(copy));
-    rt.set_recorder(&rec);
-    std::vector<std::vector<unsigned char>> digest;
-    rt.run([&](mp::Comm& comm) {
-      MapReduce mr(comm);
-      mr.map(60, [](int itask, KvEmitter& emit) {
-        emit.emit(pod_key(static_cast<std::uint64_t>(itask % 9)),
-                  std::to_string(itask));
-      });
-      mr.aggregate();
-      // Rank placement is identical across paths: key k lives on rank
-      // hash(k) % p either way, so per-rank multisets must match. Encode a
-      // deterministic digest and keep rank 0's gathered copy.
-      std::multiset<std::pair<std::string, std::string>> local;
-      mr.local().for_each([&](std::string_view k, std::string_view v) {
-        local.emplace(std::string(k), std::string(v));
-      });
-      ByteWriter w;
-      for (const auto& [k, v] : local) {
-        w.put_string(k);
-        w.put_string(v);
-      }
-      auto all = comm.allgather(w.take());
-      if (comm.rank() == 0) digest = std::move(all);
-    });
-    digests.push_back(std::move(digest));
-    byte_counters.push_back(rec.counter("mr.shuffle.bytes"));
-    EXPECT_EQ(rec.counter("mr.shuffle.records"), 60u) << "copy=" << copy;
-  }
-  EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_GT(byte_counters[0], 0u);
-  EXPECT_EQ(byte_counters[0], byte_counters[1]);
+  // Framed pages travel as they are: the wire carries exactly the page bytes.
+  EXPECT_EQ(rec.counter("mr.shuffle.wire_bytes"), page_bytes.load());
 }
 
 TEST(MapReduce, LocalSortIsStable) {

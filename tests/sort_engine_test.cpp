@@ -5,7 +5,8 @@
 // sizes straddling every network and radix cutoff. MapReduce's key-column
 // sort (sort_by_key, and reduce's group-by order) is held to the same
 // standard against std::stable_sort with the per-operator comparators it
-// replaced.
+// replaced. Whole case-study runs must produce the same partitions under
+// every --sort engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "blast/generator.hpp"
+#include "blast/partitioner.hpp"
+#include "graph/generator.hpp"
+#include "graph/papar_hybrid.hpp"
 #include "mapreduce/mapreduce.hpp"
 #include "mpsim/runtime.hpp"
 #include "obs/obs.hpp"
@@ -573,6 +578,39 @@ TEST(KeyColumnSort, SpillBudgetTakesExternalSortAndMatches) {
   }
   EXPECT_TRUE(!std::filesystem::exists(dir) || std::filesystem::is_empty(dir));
   std::filesystem::remove_all(dir);
+}
+
+TEST(SortEngineKnob, RadixAndMergeWorkflowsMatchByteForByte) {
+  // The --sort knob must never change partitions, only timing: pin each
+  // engine across a whole hybrid-cut run and compare.
+  graph::ZipfGraphOptions gopt;
+  gopt.num_vertices = 512;
+  gopt.num_edges = 4096;
+  gopt.zipf_s = 1.1;
+  gopt.seed = 4;
+  const auto g = graph::generate_zipf(gopt);
+  core::EngineOptions merge_opt;
+  merge_opt.sort_engine = SortEngine::kMergesort;
+  core::EngineOptions radix_opt;
+  radix_opt.sort_engine = SortEngine::kRadix;
+  const auto via_merge = graph::papar_hybrid_cut(g, 8, 8, /*threshold=*/24, merge_opt);
+  const auto via_radix = graph::papar_hybrid_cut(g, 8, 8, /*threshold=*/24, radix_opt);
+  EXPECT_EQ(via_merge.partitioning.edge_partition,
+            via_radix.partitioning.edge_partition);
+}
+
+TEST(SortEngineKnob, RadixUnderColumnarPagesMatchesDefaults) {
+  // Pinned radix over BLAST cyclic against the default engine. Framed pages
+  // are the only page format, so this is the fast configuration it names.
+  blast::GeneratorOptions bopt = blast::env_nr_like();
+  bopt.sequence_count = 512;
+  const auto db = blast::generate_database(bopt);
+  const auto baseline = blast::partition_with_papar(db, 8, 16, blast::Policy::kCyclic);
+  core::EngineOptions fast;
+  fast.sort_engine = SortEngine::kRadix;
+  const auto tuned =
+      blast::partition_with_papar(db, 8, 16, blast::Policy::kCyclic, fast);
+  EXPECT_EQ(tuned.partitions.partitions, baseline.partitions.partitions);
 }
 
 }  // namespace

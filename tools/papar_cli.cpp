@@ -11,7 +11,7 @@
 //         --arg input_path=db.index --arg output_path=out/part \
 //         --arg num_partitions=32 \
 //         --file db.index=./my_database.index \
-//         --nodes 16 [--sort auto|merge|radix] [--pages framed|columnar]
+//         --nodes 16 [--sort auto|merge|radix]
 //         [--compress] [--naive-splitters] [--stats]
 //         [--trace trace.json] [--metrics out.prom]
 //         [--telemetry live.jsonl] [--flight-rec out/flight]
@@ -40,12 +40,10 @@
 //
 // --sort picks the local sort engine (auto dispatches integral keys past a
 // size cutoff to LSD radix, merge pins the network-leaf mergesort, radix
-// pins the radix path); --pages picks the shuffle wire format (columnar
-// ships per-destination key/value columns with fixed-stride size elision,
-// framed ships the page bytes as-is). Both knobs change performance only:
-// partitions are byte-identical across all four combinations, and the
-// papar_sort_* / papar_mr_shuffle_* series in --metrics report the
-// decisions taken.
+// pins the radix path). The knob changes performance only: partitions are
+// byte-identical under every engine, and the papar_sort_* series in
+// --metrics report the decisions taken. The shuffle always ships the
+// framed page bytes as they are (papar_mr_shuffle_* series).
 //
 // --faults enables deterministic fault injection (see DESIGN.md §10): the
 // value is either an inline spec like "drop=0.05,dup=0.01,crash=1@40" or a
@@ -124,7 +122,6 @@ void usage(const char* argv0) {
                "          --arg name=value [...] --file key=path [...]\n"
                "          [--nodes N | --ranks N] [--scheduler threads|fibers]\n"
                "          [--workers N] [--sort auto|merge|radix]\n"
-               "          [--pages framed|columnar]\n"
                "          [--compress] [--naive-splitters] [--stats]\n"
                "          [--trace <file>] [--metrics <file>]\n"
                "          [--telemetry <file>] [--flight-rec <dir>]\n"
@@ -171,8 +168,6 @@ CliOptions parse_cli(int argc, char** argv) {
       opt.engine.scheduler.mode = mp::parse_scheduler_mode(next());
     } else if (flag == "--sort") {
       opt.engine.sort_engine = sortlib::parse_sort_engine(next());
-    } else if (flag == "--pages") {
-      opt.engine.pages = mr::parse_page_format(next());
     } else if (flag == "--workers") {
       opt.engine.scheduler.workers = parse_number<int>(next(), "--workers");
     } else if (flag == "--faults") {

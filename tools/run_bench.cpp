@@ -8,44 +8,30 @@
 //            MergeAlgo::kSequentialLoserTree (single-threaded loser tree +
 //            copy-back). After: the splitter-partitioned parallel merge.
 //            Reports the cross-chunk merge phase and the total sort.
-//   blast    Fig. 13(a)'s cyclic partitioning workload (env_nr-like DB,
-//            16 nodes, 32 partitions). Before: NetworkModel::copy_payloads
-//            (every shuffled buffer copied into the mailbox). After: the
-//            ownership-transfer shuffle. Reports the simulated makespan.
-//   hybrid   Fig. 15(a)'s hybrid-cut workload (google-like graph, 16 nodes).
-//            Same before/after knob as blast.
+//   scaling  hybrid cut at {16, 64, 256, 1024} ranks. Before: one OS
+//            thread per rank. After: rank fibers over 4 workers. Reports
+//            host wall seconds.
 //
-// Usage: run_bench [--out-dir DIR] [--faults <spec|file>] [--fault-seed N]
-//                  [sortlib|blast|hybrid ...]
-// Defaults: all three workloads, files written to the current directory,
-// faults off. With --faults, the simulated workloads (blast, hybrid) run
-// under deterministic fault injection and their reports are written to
-// BENCH_<workload>-faults.json so the committed fault-free medians stay
-// comparable; sortlib has no simulated fabric and ignores the flag.
+// Usage: run_bench [--out-dir DIR] [sortlib|scaling ...]
+// Defaults: sortlib only (the scaling sweep starts 1024 rank threads, so
+// it runs only when named), files written to the current directory.
 // PAPAR_BENCH_REPEATS (default 5) sets the sample count per knob;
 // PAPAR_BENCH_SCALE shrinks the datasets for smoke runs as usual.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_json.hpp"
 #include "bench/common.hpp"
-#include "blast/generator.hpp"
-#include "blast/partitioner.hpp"
 #include "graph/generator.hpp"
 #include "graph/papar_hybrid.hpp"
-#include "mpsim/fault.hpp"
 #include "obs/critpath.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "mapreduce/columnar.hpp"
 #include "sortlib/simd.hpp"
 #include "sortlib/sort.hpp"
-#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -53,18 +39,6 @@
 namespace {
 
 using namespace papar;
-
-// Fault injection requested on the command line (empty spec = off). Each
-// workload run gets a fresh injector so per-run fault counters start clean.
-std::string g_fault_spec;
-std::optional<std::uint64_t> g_fault_seed;
-
-std::optional<mp::FaultInjector> make_injector() {
-  if (g_fault_spec.empty()) return std::nullopt;
-  mp::FaultPlan plan = mp::FaultPlan::parse_arg(g_fault_spec);
-  if (g_fault_seed) plan.seed = *g_fault_seed;
-  return std::make_optional<mp::FaultInjector>(plan);
-}
 
 int repeats() {
   if (const char* s = std::getenv("PAPAR_BENCH_REPEATS")) {
@@ -261,155 +235,6 @@ bench::BenchReport bench_sortlib(int reps) {
   return report;
 }
 
-bench::BenchReport bench_blast(int reps) {
-  blast::GeneratorOptions opt = blast::env_nr_like();
-  opt.sequence_count = bench::scaled(opt.sequence_count);
-  std::printf("blast: env_nr-like (%zu sequences), 16 nodes, %d repeats/knob\n",
-              opt.sequence_count, reps);
-  const blast::Database db = blast::generate_database(opt);
-
-  bench::BenchEntry makespan{"partition_makespan.env_nr_like.16n",
-                             "copying shuffle (NetworkModel::copy_payloads)",
-                             "ownership-transfer shuffle",
-                             {},
-                             {}};
-  for (int r = 0; r < reps; ++r) {
-    for (const bool copy : {true, false}) {
-      auto injector = make_injector();
-      const auto result = blast::partition_with_papar(
-          db, 16, 32, blast::Policy::kCyclic, {},
-          bench::papar_fabric().with_copy_payloads(copy),
-          injector ? &*injector : nullptr);
-      (copy ? makespan.before_samples : makespan.after_samples)
-          .push_back(result.stats.makespan);
-    }
-  }
-
-  // Shuffle wire-format A/B: framed page bytes vs columnar batches with
-  // fixed-stride size elision (--pages). Partitions must be byte-identical;
-  // the entry measures the shuffle's serialized payload megabytes (the
-  // mr.shuffle.wire_bytes counter), so the "speedup" column is the
-  // serialization-reduction factor (deterministic, not timing noise). The
-  // shuffle is off the simulated critical path here, so makespan would
-  // hide the win.
-  bench::BenchEntry pages{"shuffle_wire_mb.env_nr_like.16n",
-                          "framed shuffle pages ([klen][vlen][k][v] frames)",
-                          "columnar shuffle batches (key/value columns)",
-                          {},
-                          {}};
-  std::vector<std::vector<blast::IndexEntry>> page_reference;
-  for (int r = 0; r < reps; ++r) {
-    for (const auto format : {mr::PageFormat::kFramed, mr::PageFormat::kColumnar}) {
-      auto injector = make_injector();
-      core::EngineOptions options;
-      options.pages = format;
-      obs::Recorder recorder;
-      const auto result = blast::partition_with_papar(
-          db, 16, 32, blast::Policy::kCyclic, options, bench::papar_fabric(),
-          injector ? &*injector : nullptr, nullptr, &recorder);
-      (format == mr::PageFormat::kFramed ? pages.before_samples
-                                         : pages.after_samples)
-          .push_back(
-              static_cast<double>(recorder.counter("mr.shuffle.wire_bytes")) / 1e6);
-      if (page_reference.empty()) {
-        page_reference = result.partitions.partitions;
-      } else if (result.partitions.partitions != page_reference) {
-        std::fprintf(stderr, "FATAL: partitions differ between page formats\n");
-        std::exit(1);
-      }
-    }
-  }
-
-  bench::BenchReport report;
-  report.bench = "blast";
-  report.scale = bench::scale_factor();
-  report.repeats = reps;
-  report.entries = {makespan, pages};
-  print_entry(makespan);
-  print_entry(pages, "MB");
-
-  obs::TraceRecorder tracer;
-  auto injector = make_injector();
-  blast::partition_with_papar(db, 16, 32, blast::Policy::kCyclic, {},
-                              bench::papar_fabric(),
-                              injector ? &*injector : nullptr, &tracer);
-  report.critical_path_fractions = critpath_fractions(tracer);
-  return report;
-}
-
-bench::BenchReport bench_hybrid(int reps) {
-  graph::Graph g = graph::google_like();
-  const double s = bench::scale_factor();
-  if (s != 1.0) {
-    g.edges.resize(
-        static_cast<std::size_t>(static_cast<double>(g.edges.size()) * s));
-  }
-  std::printf("hybrid: google-like (%zu edges), 16 nodes, %d repeats/knob\n",
-              g.num_edges(), reps);
-
-  bench::BenchEntry makespan{"partition_makespan.google_like.16n",
-                             "copying shuffle (NetworkModel::copy_payloads)",
-                             "ownership-transfer shuffle",
-                             {},
-                             {}};
-  for (int r = 0; r < reps; ++r) {
-    for (const bool copy : {true, false}) {
-      auto injector = make_injector();
-      const auto result = graph::papar_hybrid_cut(
-          g, 16, 16, 200, {}, bench::papar_fabric().with_copy_payloads(copy),
-          injector ? &*injector : nullptr);
-      (copy ? makespan.before_samples : makespan.after_samples)
-          .push_back(result.stats.makespan);
-    }
-  }
-
-  // Same wire-format A/B as blast (see there): serialized shuffle payload
-  // megabytes, not makespan. Hybrid's records are graph edges, again
-  // fixed-stride and therefore fully size-column-elided.
-  bench::BenchEntry pages{"shuffle_wire_mb.google_like.16n",
-                          "framed shuffle pages ([klen][vlen][k][v] frames)",
-                          "columnar shuffle batches (key/value columns)",
-                          {},
-                          {}};
-  std::vector<std::uint32_t> page_reference;
-  for (int r = 0; r < reps; ++r) {
-    for (const auto format : {mr::PageFormat::kFramed, mr::PageFormat::kColumnar}) {
-      auto injector = make_injector();
-      core::EngineOptions options;
-      options.pages = format;
-      obs::Recorder recorder;
-      const auto result = graph::papar_hybrid_cut(
-          g, 16, 16, 200, options, bench::papar_fabric(),
-          injector ? &*injector : nullptr, nullptr, &recorder);
-      (format == mr::PageFormat::kFramed ? pages.before_samples
-                                         : pages.after_samples)
-          .push_back(
-              static_cast<double>(recorder.counter("mr.shuffle.wire_bytes")) / 1e6);
-      if (page_reference.empty()) {
-        page_reference = result.partitioning.edge_partition;
-      } else if (result.partitioning.edge_partition != page_reference) {
-        std::fprintf(stderr, "FATAL: partitions differ between page formats\n");
-        std::exit(1);
-      }
-    }
-  }
-
-  bench::BenchReport report;
-  report.bench = "hybrid";
-  report.scale = s;
-  report.repeats = reps;
-  report.entries = {makespan, pages};
-  print_entry(makespan);
-  print_entry(pages, "MB");
-
-  obs::TraceRecorder tracer;
-  auto injector = make_injector();
-  graph::papar_hybrid_cut(g, 16, 16, 200, {}, bench::papar_fabric(),
-                          injector ? &*injector : nullptr, &tracer);
-  report.critical_path_fractions = critpath_fractions(tracer);
-  return report;
-}
-
 // Scheduler scaling sweep (DESIGN.md §13): the same hybrid-cut workload at
 // {16, 64, 256, 1024} simulated ranks, before = one OS thread per rank,
 // after = rank fibers over 4 workers. Samples are host wall seconds — the
@@ -511,41 +336,27 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
       out_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
-      g_fault_spec = argv[++i];
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      g_fault_seed = papar::parse_number<std::uint64_t>(argv[++i], "--fault-seed");
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: run_bench [--out-dir DIR] [--faults <spec|file>] "
-          "[--fault-seed N] [sortlib|blast|hybrid|scaling ...]\n");
+      std::printf("usage: run_bench [--out-dir DIR] [sortlib|scaling ...]\n");
       return 0;
     } else {
       workloads.emplace_back(argv[i]);
     }
   }
-  if (workloads.empty()) workloads = {"sortlib", "blast", "hybrid"};
+  if (workloads.empty()) workloads = {"sortlib"};
 
   const int reps = repeats();
   for (const std::string& w : workloads) {
     papar::bench::BenchReport report;
     if (w == "sortlib") {
       report = bench_sortlib(reps);
-    } else if (w == "blast") {
-      report = bench_blast(reps);
-    } else if (w == "hybrid") {
-      report = bench_hybrid(reps);
     } else if (w == "scaling") {
       report = bench_scaling(reps);
     } else {
       std::fprintf(stderr, "unknown workload: %s\n", w.c_str());
       return 2;
     }
-    // Faulted runs get their own files so committed fault-free medians
-    // never mix with degraded-fabric numbers.
-    const bool faulted = !g_fault_spec.empty() && w != "sortlib";
-    const std::string path = out_dir + "/BENCH_" + report.bench +
-                             (faulted ? "-faults" : "") + ".json";
+    const std::string path = out_dir + "/BENCH_" + report.bench + ".json";
     report.write(path);
     std::printf("  wrote %s\n", path.c_str());
   }
