@@ -534,14 +534,14 @@ PartitionResult WorkflowEngine::run(
       comm.barrier();
     };
 
-    // Allgathers per-rank entry counts; rank 0 folds them into the stage
-    // tallies. Runs before the closing boundary so its own traffic stays
-    // inside the stage it measures.
+    // Gathers per-rank entry counts at rank 0, which folds them into the
+    // stage tallies. Runs before the closing boundary so its own traffic
+    // stays inside the stage it measures.
     auto close_stage = [&](std::size_t s, std::uint64_t in_count, std::uint64_t out_count) {
       ByteWriter w;
       w.put<std::uint64_t>(in_count);
       w.put<std::uint64_t>(out_count);
-      auto all = comm.allgather(w.take());
+      auto all = comm.gather(0, w.take());
       if (comm.rank() == 0) {
         std::uint64_t total_in = 0;
         std::uint64_t total_out = 0;
@@ -700,7 +700,7 @@ PartitionResult WorkflowEngine::run(
     // Snapshot per-rank completion time BEFORE the closing boundary (no
     // rank can have started the untimed output write yet), then let the
     // boundary read the final traffic counters — after its first barrier
-    // every job send, including the stage-accounting allgathers, is
+    // every job send, including the stage-accounting gathers, is
     // counted, so stage deltas sum exactly to the run totals.
     job_times[static_cast<std::size_t>(comm.rank())] = comm.vtime();
     job_boundary(nsteps);
@@ -713,14 +713,14 @@ PartitionResult WorkflowEngine::run(
       out_schema = final_dist->schema;
     } else {
       // No distribute: the last operator's output becomes one partition,
-      // records in rank order.
+      // records in rank order, gathered at rank 0 (the only reader).
       const auto& last = steps.back();
       Dataset ds = take_dataset(last.output_paths[0]);
       if (ds.format == DataFormat::kPacked) unpack_op(ds);
       ByteWriter w;
       ds.page.for_each(
           [&w](std::string_view, std::string_view value) { w.put_string(std::string(value)); });
-      auto all = comm.allgather(w.take());
+      auto all = comm.gather(0, w.take());
       partitions.resize(1);
       for (const auto& part : all) {
         ByteReader r(part);

@@ -440,28 +440,36 @@ DistributedDataset distribute_op(mp::Comm& comm, std::vector<Dataset*> inputs,
     const std::vector<std::size_t> field_map =
         needs_projection ? projection_map(ds.schema, out_schema) : std::vector<std::size_t>{};
 
-    // Global entry/record offsets for this rank via allgather. The paper
-    // applies the permutation matrix to the (logically global) data vector;
-    // the offsets let each mapper evaluate its rows locally.
-    std::uint64_t local_entries = ds.page.count();
-    std::uint64_t local_records = ds.local_record_count();
+    // Global entry/record offsets for this rank. The paper applies the
+    // permutation matrix to the (logically global) data vector; the offsets
+    // let each mapper evaluate its rows locally. Rank 0 gathers the counts
+    // and broadcasts one table of 2p+2 words: the p+1 entry prefix sums,
+    // then the p+1 record prefix sums (each ending in its total).
     ByteWriter w;
-    w.put(local_entries);
-    w.put(local_records);
-    auto all = comm.allgather(w.take());
-    std::uint64_t entry_offset = 0, record_offset = 0;
-    std::uint64_t entry_total = 0, record_total = 0;
-    for (int r = 0; r < p; ++r) {
-      ByteReader br(all[static_cast<std::size_t>(r)]);
-      const auto e = br.get<std::uint64_t>();
-      const auto n = br.get<std::uint64_t>();
-      if (r < comm.rank()) {
-        entry_offset += e;
-        record_offset += n;
+    w.put<std::uint64_t>(ds.page.count());
+    w.put<std::uint64_t>(ds.local_record_count());
+    const auto counts = comm.gather(0, w.take());
+    const auto np = static_cast<std::size_t>(p);
+    std::vector<std::uint64_t> prefix(2 * np + 2, 0);
+    std::vector<unsigned char> table;
+    if (comm.rank() == 0) {
+      for (std::size_t r = 0; r < np; ++r) {
+        ByteReader br(counts[r]);
+        prefix[r + 1] = prefix[r] + br.get<std::uint64_t>();
+        prefix[np + 2 + r] = prefix[np + 1 + r] + br.get<std::uint64_t>();
       }
-      entry_total += e;
-      record_total += n;
+      table.resize(prefix.size() * sizeof(std::uint64_t));
+      std::memcpy(table.data(), prefix.data(), table.size());
     }
+    table = comm.bcast(0, std::move(table));
+    PAPAR_CHECK_MSG(table.size() == prefix.size() * sizeof(std::uint64_t),
+                    "distribute offset table has the wrong size");
+    std::memcpy(prefix.data(), table.data(), table.size());
+    const auto me = static_cast<std::size_t>(comm.rank());
+    const std::uint64_t entry_offset = prefix[me];
+    const std::uint64_t entry_total = prefix[np];
+    const std::uint64_t record_offset = prefix[np + 1 + me];
+    const std::uint64_t record_total = prefix[2 * np + 1];
 
     // Place entries and ship them through the shuffle *as-is*: packed
     // groups stay packed (and, when enabled, CSC-compressed — §III-D's

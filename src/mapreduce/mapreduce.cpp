@@ -605,37 +605,46 @@ void MapReduce::sort_by_key(const KeyColumn& col) {
 
 namespace {
 
-/// Splitter for sample_sort_u64 carrying the full record alongside the
-/// projection, so duplicate projections still split by byte order.
-struct CompositeSplitter {
-  std::uint64_t proj = 0;
-  std::string key;
-  std::string value;
-};
-
-bool composite_less(const CompositeSplitter& a, const CompositeSplitter& b) {
-  if (a.proj != b.proj) return a.proj < b.proj;
-  if (a.key != b.key) return a.key < b.key;
-  return a.value < b.value;
-}
-
-/// View-side record for heterogeneous lower/upper_bound against splitters.
+/// A sample record or splitter of sample_sort_u64: the directed projection
+/// plus views of the record's key and value bytes (empty unless composite),
+/// so duplicate projections still split by byte order. Views point into the
+/// buffer the sample arrived in.
 struct RecordView {
   std::uint64_t proj = 0;
   std::string_view key;
   std::string_view value;
 };
 
-bool splitter_less_record(const CompositeSplitter& s, const RecordView& r) {
-  if (s.proj != r.proj) return s.proj < r.proj;
-  if (std::string_view(s.key) != r.key) return std::string_view(s.key) < r.key;
-  return std::string_view(s.value) < r.value;
+/// The composite order: projection, then key bytes, then value bytes.
+bool view_less(const RecordView& a, const RecordView& b) {
+  if (a.proj != b.proj) return a.proj < b.proj;
+  if (a.key != b.key) return a.key < b.key;
+  return a.value < b.value;
 }
 
-bool record_less_splitter(const RecordView& r, const CompositeSplitter& s) {
-  if (r.proj != s.proj) return r.proj < s.proj;
-  if (r.key != std::string_view(s.key)) return r.key < std::string_view(s.key);
-  return r.value < std::string_view(s.value);
+/// Appends one sample record to `w`; the layout read_views decodes.
+void put_view(ByteWriter& w, const RecordView& v, bool composite) {
+  w.put<std::uint64_t>(v.proj);
+  if (!composite) return;
+  w.put<std::uint64_t>(v.key.size());
+  w.put_bytes(v.key.data(), v.key.size());
+  w.put<std::uint64_t>(v.value.size());
+  w.put_bytes(v.value.data(), v.value.size());
+}
+
+/// Appends a view of every record put_view wrote to `bytes`.
+void read_views(const std::vector<unsigned char>& bytes, bool composite,
+                std::vector<RecordView>& out) {
+  ByteReader r(bytes);
+  while (!r.done()) {
+    RecordView v;
+    v.proj = r.get<std::uint64_t>();
+    if (composite) {
+      v.key = r.get_bytes(r.get<std::uint64_t>());
+      v.value = r.get_bytes(r.get<std::uint64_t>());
+    }
+    out.push_back(v);
+  }
 }
 
 }  // namespace
@@ -668,64 +677,49 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
   // upper_bound: interpolated boundaries cannot see byte order, and the mode
   // exists as the ablation's imbalanced baseline.
   if (p > 1) {
+    // Splitters and routed records compare in the composite order; without
+    // composite splitters their key and value views stay empty, so only the
+    // projection decides.
     const bool composite = method == SplitterMethod::kSampled && tie_break_bytes;
-    std::vector<std::uint64_t> splitters;            // p-1 boundaries (plain)
-    std::vector<CompositeSplitter> csplitters;       // p-1 boundaries (composite)
+    std::vector<RecordView> splitters;      // p-1 boundaries
+    std::vector<unsigned char> boundaries;  // backs the splitters' views
     if (method == SplitterMethod::kSampled) {
-      // Evenly spaced local sample of up to oversample*p records.
+      PhaseSpan span(comm_, "mr.sample_sort.splitters");
+      // Evenly spaced local sample of up to oversample*p records, gathered
+      // at rank 0. Only the root sorts the whole sample; it broadcasts the
+      // p-1 boundaries it picks, so the cost is O(p) per rank, not O(p^2).
       const auto offs = page_.offsets();
       const std::size_t want =
           std::min<std::size_t>(offs.size(), static_cast<std::size_t>(oversample) *
                                                  static_cast<std::size_t>(p));
       ByteWriter w;
       for (std::size_t i = 0; i < want; ++i) {
-        const std::size_t idx = i * offs.size() / want;
-        const auto kv = page_.at(offs[idx]);
-        w.put<std::uint64_t>(directed(kv));
-        if (composite) {
-          w.put<std::uint64_t>(kv.key.size());
-          w.put_bytes(kv.key.data(), kv.key.size());
-          w.put<std::uint64_t>(kv.value.size());
-          w.put_bytes(kv.value.data(), kv.value.size());
+        const auto kv = page_.at(offs[i * offs.size() / want]);
+        put_view(w, RecordView{directed(kv), kv.key, kv.value}, composite);
+      }
+      const auto parts = comm_->gather(0, w.take());
+      if (comm_->rank() == 0) {
+        std::vector<RecordView> sample;
+        for (const auto& part : parts) read_views(part, composite, sample);
+        std::sort(sample.begin(), sample.end(), view_less);
+        ByteWriter bw;
+        for (int i = 1; i < p; ++i) {
+          // With no records anywhere the boundary value is never consulted.
+          put_view(bw,
+                   sample.empty() ? RecordView{std::numeric_limits<std::uint64_t>::max(), {}, {}}
+                                  : sample[static_cast<std::size_t>(i) * sample.size() /
+                                           static_cast<std::size_t>(p)],
+                   composite);
         }
+        boundaries = bw.take();
       }
-      auto all = comm_->allgather(w.take());
-      std::vector<CompositeSplitter> sample;
-      for (const auto& part : all) {
-        ByteReader r(part);
-        while (!r.done()) {
-          CompositeSplitter c;
-          c.proj = r.get<std::uint64_t>();
-          if (composite) {
-            const auto klen = r.get<std::uint64_t>();
-            const auto kview = r.get_bytes(klen);
-            c.key.assign(kview.begin(), kview.end());
-            const auto vlen = r.get<std::uint64_t>();
-            const auto vview = r.get_bytes(vlen);
-            c.value.assign(vview.begin(), vview.end());
-          }
-          sample.push_back(std::move(c));
-        }
-      }
-      std::sort(sample.begin(), sample.end(), composite_less);
-      for (int i = 1; i < p; ++i) {
-        if (sample.empty()) {
-          // No records anywhere; the boundary value is never consulted.
-          CompositeSplitter c;
-          c.proj = std::numeric_limits<std::uint64_t>::max();
-          csplitters.push_back(std::move(c));
-        } else {
-          csplitters.push_back(
-              sample[static_cast<std::size_t>(i) * sample.size() / static_cast<std::size_t>(p)]);
-        }
-      }
-      if (!composite) {
-        splitters.reserve(csplitters.size());
-        for (const auto& c : csplitters) splitters.push_back(c.proj);
-        csplitters.clear();
-      }
+      boundaries = comm_->bcast(0, std::move(boundaries));
+      read_views(boundaries, composite, splitters);
+      PAPAR_CHECK_MSG(splitters.size() == static_cast<std::size_t>(p - 1),
+                      "sample-sort needs p-1 splitters");
     } else {
-      // Naive: interpolate between the global extremes.
+      // Naive: interpolate between the global extremes, found by one
+      // min-reduction over {min, ~max}.
       std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
       std::uint64_t hi = 0;
       page_.for_each([&](std::string_view k, std::string_view v) {
@@ -733,31 +727,25 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
         lo = std::min(lo, x);
         hi = std::max(hi, x);
       });
-      lo = comm_->allreduce(std::vector<std::uint64_t>{lo},
-                            [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); })[0];
-      hi = comm_->allreduce(std::vector<std::uint64_t>{hi},
-                            [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); })[0];
+      const auto ext = comm_->allreduce(
+          std::vector<std::uint64_t>{lo, ~hi},
+          [](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
+      lo = ext[0];
+      hi = ~ext[1];
       if (lo > hi) {  // no records anywhere
         lo = 0;
         hi = 0;
       }
       const double span = static_cast<double>(hi - lo);
       for (int i = 1; i < p; ++i) {
-        splitters.push_back(lo + static_cast<std::uint64_t>(span * i / p));
+        splitters.push_back(RecordView{lo + static_cast<std::uint64_t>(span * i / p), {}, {}});
       }
     }
 
     // Splitters must be non-decreasing or routing would break sortedness.
-    if (composite) {
-      for (std::size_t i = 1; i < csplitters.size(); ++i) {
-        PAPAR_CHECK_MSG(!composite_less(csplitters[i], csplitters[i - 1]),
-                        "sample-sort splitters must be non-decreasing");
-      }
-    } else {
-      for (std::size_t i = 1; i < splitters.size(); ++i) {
-        PAPAR_CHECK_MSG(splitters[i - 1] <= splitters[i],
-                        "sample-sort splitters must be non-decreasing");
-      }
+    for (std::size_t i = 1; i < splitters.size(); ++i) {
+      PAPAR_CHECK_MSG(!view_less(splitters[i], splitters[i - 1]),
+                      "sample-sort splitters must be non-decreasing");
     }
 
     // Records equal to coinciding splitters may go to any rank of the run;
@@ -766,23 +754,14 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
     const bool spread_ties = composite || !tie_break_bytes;
     std::size_t spread = 0;
     shuffle_by([&](const KvPair& kv) {
-      const std::uint64_t x = directed(kv);
-      std::size_t lo_idx;
-      std::size_t hi_idx;
-      if (composite) {
-        const RecordView r{x, kv.key, kv.value};
-        lo_idx = static_cast<std::size_t>(
-            std::lower_bound(csplitters.begin(), csplitters.end(), r, splitter_less_record) -
-            csplitters.begin());
-        hi_idx = static_cast<std::size_t>(
-            std::upper_bound(csplitters.begin(), csplitters.end(), r, record_less_splitter) -
-            csplitters.begin());
-      } else {
-        lo_idx = static_cast<std::size_t>(
-            std::lower_bound(splitters.begin(), splitters.end(), x) - splitters.begin());
-        hi_idx = static_cast<std::size_t>(
-            std::upper_bound(splitters.begin(), splitters.end(), x) - splitters.begin());
-      }
+      const RecordView r = composite ? RecordView{directed(kv), kv.key, kv.value}
+                                     : RecordView{directed(kv), {}, {}};
+      const auto lo_idx = static_cast<std::size_t>(
+          std::lower_bound(splitters.begin(), splitters.end(), r, view_less) -
+          splitters.begin());
+      const auto hi_idx = static_cast<std::size_t>(
+          std::upper_bound(splitters.begin(), splitters.end(), r, view_less) -
+          splitters.begin());
       if (lo_idx == hi_idx || !spread_ties) return static_cast<int>(hi_idx);
       return static_cast<int>(lo_idx + spread++ % (hi_idx - lo_idx + 1));
     });

@@ -30,8 +30,9 @@ namespace papar::mr {
 
 /// How sample_sort_u64 chooses reducer range splitters.
 enum class SplitterMethod {
-  /// Sample keys on every rank and allgather (the paper's approach,
-  /// after Gufler et al. [9]).
+  /// Sample keys on every rank, gather the samples at rank 0, which picks
+  /// the p-1 splitters and broadcasts them (the paper's approach, after
+  /// Gufler et al. [9]).
   kSampled,
   /// Linear interpolation between the global min and max key. Cheap but
   /// badly imbalanced on skewed distributions; kept for the ablation.

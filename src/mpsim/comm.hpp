@@ -182,7 +182,9 @@ class Comm {
   std::vector<std::vector<unsigned char>> gather(int root,
                                                  const std::vector<unsigned char>& bytes);
 
-  /// All ranks receive every rank's buffer, indexed by rank.
+  /// All ranks receive every rank's buffer, indexed by rank. Gathers at rank
+  /// 0 and broadcasts the concatenation, so the fabric carries P copies of
+  /// everything: use gather when only one rank reads the result.
   std::vector<std::vector<unsigned char>> allgather(const std::vector<unsigned char>& bytes);
 
   /// Personalized all-to-all: send_bufs[i] goes to rank i; returns the
@@ -195,21 +197,33 @@ class Comm {
       std::vector<std::vector<unsigned char>> send_bufs);
 
   /// Element-wise all-reduce over a POD vector with a binary combiner.
-  /// Reduction order is fixed (by rank), so results are deterministic.
+  /// Rank 0 gathers every vector, folds them in rank order 0..P-1 and
+  /// broadcasts the result, so every rank receives the same bytes — even for
+  /// a non-associative combiner such as floating-point addition — and the
+  /// traffic is O(P), not the O(P^2) of an allgather.
   template <typename T, typename BinaryOp>
   std::vector<T> allreduce(const std::vector<T>& local, BinaryOp op) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<unsigned char> mine(sizeof(T) * local.size());
-    std::memcpy(mine.data(), local.data(), mine.size());
-    auto all = allgather(mine);
-    std::vector<T> acc = local;
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      PAPAR_CHECK_MSG(all[r].size() == mine.size(), "allreduce length mismatch");
-      const T* other = reinterpret_cast<const T*>(all[r].data());
-      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = op(acc[i], other[i]);
+    const std::size_t nbytes = sizeof(T) * local.size();
+    std::vector<unsigned char> mine(nbytes);
+    std::memcpy(mine.data(), local.data(), nbytes);
+    auto all = gather(0, mine);
+    std::vector<unsigned char> reduced;
+    if (rank_ == 0) {
+      std::vector<T> acc = local;
+      for (int r = 1; r < size(); ++r) {
+        PAPAR_CHECK_MSG(all[r].size() == nbytes, "allreduce length mismatch");
+        const T* other = reinterpret_cast<const T*>(all[r].data());
+        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = op(acc[i], other[i]);
+      }
+      reduced.resize(nbytes);
+      std::memcpy(reduced.data(), acc.data(), nbytes);
     }
-    return acc;
+    reduced = bcast(0, std::move(reduced));
+    PAPAR_CHECK_MSG(reduced.size() == nbytes, "allreduce length mismatch");
+    std::vector<T> out(local.size());
+    std::memcpy(out.data(), reduced.data(), nbytes);
+    return out;
   }
 
   /// Convenience sum-all-reduce of one value.

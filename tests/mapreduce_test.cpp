@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
@@ -381,6 +382,164 @@ TEST(MapReduce, SampleSortTieBreakBytesGlobalTotalOrder) {
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(got, expected);
   });
+}
+
+// -- Splitter selection at 64 ranks ------------------------------------------
+
+using SortRec = std::tuple<std::uint64_t, std::string, std::string>;  // (proj, key, value)
+
+/// Lossy projection on the first value byte, so both byte tie-breaks and
+/// fully identical records come up; empty values project to 0.
+std::uint64_t first_byte_proj(std::string_view, std::string_view value) {
+  return value.empty() ? 0 : static_cast<unsigned char>(value[0]) % 4;
+}
+
+/// Single-threaded reference of sample_sort_u64 (kSampled, ascending): each
+/// rank's evenly spaced sample of up to oversample*p records, boundaries
+/// sample[i*N/p] of the whole sorted sample (max when it is empty), routing
+/// with ties spread round-robin per source rank, then each destination's
+/// records in the final local order. `composite` is tie_break_bytes: order
+/// and splitters use (projection, key, value); otherwise projection only,
+/// stable in arrival order (source rank, then source page order).
+std::vector<std::vector<SortRec>> reference_sample_sort(
+    const std::vector<std::vector<SortRec>>& input, bool composite, int oversample = 32) {
+  const std::size_t p = input.size();
+  auto order_key = [composite](const SortRec& r) {
+    return composite ? r : SortRec{std::get<0>(r), {}, {}};
+  };
+  std::vector<SortRec> sample;
+  for (const auto& recs : input) {
+    const std::size_t want =
+        std::min(recs.size(), static_cast<std::size_t>(oversample) * p);
+    for (std::size_t i = 0; i < want; ++i) {
+      sample.push_back(order_key(recs[i * recs.size() / want]));
+    }
+  }
+  std::sort(sample.begin(), sample.end());
+  std::vector<SortRec> bounds;
+  for (std::size_t i = 1; i < p; ++i) {
+    bounds.push_back(sample.empty() ? SortRec{UINT64_MAX, {}, {}}
+                                    : sample[i * sample.size() / p]);
+  }
+  std::vector<std::vector<SortRec>> out(p);
+  for (const auto& recs : input) {
+    std::size_t spread = 0;
+    for (const auto& rec : recs) {
+      const SortRec k = order_key(rec);
+      const auto lo = static_cast<std::size_t>(
+          std::lower_bound(bounds.begin(), bounds.end(), k) - bounds.begin());
+      const auto hi = static_cast<std::size_t>(
+          std::upper_bound(bounds.begin(), bounds.end(), k) - bounds.begin());
+      out[lo == hi ? hi : lo + spread++ % (hi - lo + 1)].push_back(rec);
+    }
+  }
+  for (auto& recs : out) {
+    std::stable_sort(recs.begin(), recs.end(), [&](const SortRec& a, const SortRec& b) {
+      return order_key(a) < order_key(b);
+    });
+  }
+  return out;
+}
+
+/// Runs sample_sort_u64 with first_byte_proj over `input` (one page per
+/// rank, in order) and returns each rank's page after the sort.
+std::vector<std::vector<SortRec>> run_sample_sort(
+    const std::vector<std::vector<SortRec>>& input, bool tie_break_bytes) {
+  const int p = static_cast<int>(input.size());
+  std::vector<std::vector<SortRec>> got(input.size());
+  mp::Runtime rt(p, mp::NetworkModel::zero());
+  rt.run([&](mp::Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    MapReduce mr(comm);
+    for (const auto& [proj, key, value] : input[me]) mr.mutable_local().add(key, value);
+    mr.sample_sort_u64(first_byte_proj, true, SplitterMethod::kSampled, 32, tie_break_bytes);
+    mr.local().for_each([&](std::string_view k, std::string_view v) {
+      got[me].emplace_back(first_byte_proj(k, v), std::string(k), std::string(v));
+    });
+  });
+  return got;
+}
+
+/// Rank r holds sizes(r) records over a 3-letter alphabet; keys and values
+/// are 0-3 bytes long, so zero-length keys and values are common.
+std::vector<std::vector<SortRec>> make_sort_input(int p, const std::function<int(int)>& sizes) {
+  std::vector<std::vector<SortRec>> input(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    Rng rng(4100 + static_cast<std::uint64_t>(r));
+    auto word = [&rng] {
+      std::string s(rng.next_below(4), 'a');
+      for (auto& c : s) c = static_cast<char>('a' + rng.next_below(3));
+      return s;
+    };
+    for (int i = 0; i < sizes(r); ++i) {
+      std::string key = word();
+      std::string value = word();
+      input[static_cast<std::size_t>(r)].emplace_back(first_byte_proj(key, value), key, value);
+    }
+  }
+  return input;
+}
+
+TEST(MapReduce, SampleSortMatchesReferenceAt64Ranks) {
+  // Some ranks are empty, some sample a stride of a page larger than the
+  // 32*64 oversample, the rest sample every record.
+  const auto input = make_sort_input(64, [](int r) {
+    return r % 7 == 3 ? 0 : (r % 5 == 0 ? 2600 : 40 + 3 * r);
+  });
+  for (const bool tie_break : {true, false}) {
+    SCOPED_TRACE(tie_break ? "composite splitters" : "projection splitters");
+    const auto want = reference_sample_sort(input, tie_break);
+    const auto got = run_sample_sort(input, tie_break);
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r], want[r]) << "rank " << r;
+    }
+  }
+}
+
+TEST(MapReduce, SampleSortAllKeysEqualAt64Ranks) {
+  // Every record identical, empty key and value: every boundary coincides,
+  // so routing is tie spreading alone and still reaches every rank.
+  std::vector<std::vector<SortRec>> input(64);
+  for (std::size_t r = 0; r < input.size(); ++r) {
+    input[r].assign(r % 3 == 0 ? 0 : 90, SortRec{0, "", ""});
+  }
+  const auto want = reference_sample_sort(input, true);
+  const auto got = run_sample_sort(input, true);
+  EXPECT_EQ(got, want);
+  for (const auto& recs : got) EXPECT_FALSE(recs.empty());
+}
+
+TEST(MapReduce, SampleSortAllRanksEmptyAt64Ranks) {
+  // No records anywhere: every boundary is the max sentinel, which must pass
+  // the non-decreasing check and leave every page empty.
+  const std::vector<std::vector<SortRec>> input(64);
+  for (const bool tie_break : {true, false}) {
+    EXPECT_EQ(run_sample_sort(input, tie_break), reference_sample_sort(input, tie_break));
+  }
+}
+
+TEST(MapReduce, SampleSortSplitterTrafficIsLinearInRanks) {
+  // Only the sample travels to one root and only p-1 boundaries travel back,
+  // so everything the sort sends besides its shuffle stays under 2x the
+  // gathered sample. An allgather of the sample would send about p times it.
+  const int p = 64;
+  const int per_rank = 32 * p;  // the whole page is the sample
+  constexpr std::int64_t kSampleRecordBytes = 4 * 8;  // proj, klen, 8-byte key, vlen
+  obs::Recorder rec;
+  mp::Runtime rt(p, mp::NetworkModel::zero());
+  rt.set_recorder(&rec);
+  const auto stats = rt.run([&](mp::Comm& comm) {
+    MapReduce mr(comm);
+    Rng rng(77 + static_cast<std::uint64_t>(comm.rank()));
+    for (int i = 0; i < per_rank; ++i) mr.mutable_local().add(pod_key(rng.next_u64()), "");
+    mr.sample_sort_u64([](std::string_view key, std::string_view) { return key_u64(key); },
+                       true, SplitterMethod::kSampled, 32, /*tie_break_bytes=*/true);
+  });
+  const std::int64_t gathered = std::int64_t{p - 1} * per_rank * kSampleRecordBytes;
+  const auto overhead = static_cast<std::int64_t>(stats.remote_bytes) -
+                        static_cast<std::int64_t>(rec.counter("mr.shuffle.bytes"));
+  EXPECT_GE(overhead, gathered / 2);  // the sample did travel
+  EXPECT_LT(overhead, 2 * gathered);
 }
 
 TEST(MapReduce, MapKvTransformsInPlace) {

@@ -283,6 +283,28 @@ TEST(Runtime, AllreduceVectorElementwise) {
   });
 }
 
+TEST(Runtime, AllreduceIsIdenticalOnEveryRank) {
+  // Floating-point addition is not associative: folding from each rank's
+  // own value would give rank 2 (1e16 + 1e16 - 1e16 + 1) = 1.0 while ranks 0
+  // and 1 get 0.0. The reduction runs once, in rank order, at the root.
+  const int p = 3;
+  const double values[p] = {1e16, 1.0, -1e16};
+  std::vector<double> got(p, -1.0);
+  Runtime rt(p, NetworkModel::zero());
+  rt.run([&](Comm& comm) {
+    got[static_cast<std::size_t>(comm.rank())] = comm.allreduce_sum<double>(values[comm.rank()]);
+  });
+  EXPECT_EQ(got, std::vector<double>(p, (1e16 + 1.0) + -1e16));
+}
+
+TEST(Runtime, AllreduceLengthMismatchThrows) {
+  Runtime rt(3, NetworkModel::zero());
+  EXPECT_THROW(rt.run([](Comm& comm) {
+    std::vector<int> local(comm.rank() == 2 ? 2 : 1, 1);
+    comm.allreduce(local, [](int a, int b) { return a + b; });
+  }), std::exception);
+}
+
 TEST(Runtime, ExceptionsPropagateToHost) {
   Runtime rt(2, NetworkModel::zero());
   EXPECT_THROW(rt.run([](Comm& comm) {

@@ -6,11 +6,13 @@
 // format (binary with the 32-byte header position preserved, or delimited
 // text).
 //
-//   papar --input-config configs/blast_db.xml \
-//         --workflow configs/blast_partition.xml \
-//         --arg input_path=db.index --arg output_path=out/part \
-//         --arg num_partitions=32 \
-//         --file db.index=./my_database.index \
+// Usage (one command line, wrapped here):
+//
+//   papar --input-config configs/blast_db.xml
+//         --workflow configs/blast_partition.xml
+//         --arg input_path=db.index --arg output_path=out/part
+//         --arg num_partitions=32
+//         --file db.index=./my_database.index
 //         --nodes 16 [--sort auto|merge|radix]
 //         [--compress] [--naive-splitters] [--stats]
 //         [--trace trace.json] [--metrics out.prom]
