@@ -186,8 +186,12 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   chunk = std::min(chunk, std::max<std::size_t>(max_dest, 256));
 
   // Sizing pass: per-destination segment totals under the greedy cut. The
-  // final (possibly frame-less) segment every destination receives carries
-  // the count, so receivers always learn when a source is done.
+  // final (possibly frame-less) segment every destination with records
+  // receives carries the count, so receivers learn when a source is done;
+  // the has-data exchange tells them which sources send nothing at all.
+  std::vector<char> sending(static_cast<std::size_t>(p));
+  for (std::size_t d = 0; d < sending.size(); ++d) sending[d] = dest_bytes[d] > 0;
+  const std::vector<char> sources = comm_->exchange_has_data(sending);
   std::vector<std::uint32_t> total(static_cast<std::size_t>(p), 1);
   {
     std::vector<std::size_t> fill(static_cast<std::size_t>(p), 0);
@@ -209,9 +213,13 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   std::vector<std::uint32_t> expect(static_cast<std::size_t>(p), 0);  // 0 = unknown
   std::vector<std::uint32_t> got(static_cast<std::size_t>(p), 0);
   std::vector<char> done(static_cast<std::size_t>(p), 0);
+  int open = 0;
+  for (std::size_t src = 0; src < done.size(); ++src) {
+    done[src] = !sources[src];
+    open += sources[src];
+  }
   std::vector<std::vector<std::vector<unsigned char>>> store(
       static_cast<std::size_t>(p));
-  int open = p;
   auto note_segment = [&](mp::Envelope& env) {
     const auto src = static_cast<std::size_t>(env.source);
     PAPAR_CHECK_MSG(env.payload.size() >= kSegHeader, "shuffle segment too short");
@@ -278,6 +286,7 @@ void MapReduce::shuffle_segmented(const std::vector<std::size_t>& dest_bytes) {
   // segments + received store, never + the outgoing page as well.
   { auto old = page_.take_bytes(); }
   for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) {
+    if (sending[d] == 0) continue;
     comm_->shuffle_send(static_cast<int>(d), std::move(seg[d]));
     while (open > 0 && comm_->try_shuffle_recv(done, env)) note_segment(env);
   }
@@ -685,23 +694,45 @@ void MapReduce::sample_sort_u64(const KeyProjection& proj, bool ascending,
     std::vector<unsigned char> boundaries;  // backs the splitters' views
     if (method == SplitterMethod::kSampled) {
       PhaseSpan span(comm_, "mr.sample_sort.splitters");
-      // Evenly spaced local sample of up to oversample*p records, gathered
-      // at rank 0. Only the root sorts the whole sample; it broadcasts the
-      // p-1 boundaries it picks, so the cost is O(p) per rank, not O(p^2).
+      // Evenly spaced local sample of up to oversample*p records, sorted
+      // locally and gathered at rank 0. The root only merges the p sorted
+      // runs and broadcasts the p-1 boundaries it picks, so the cost is
+      // O(p) per rank, not O(p^2).
       const auto offs = page_.offsets();
       const std::size_t want =
           std::min<std::size_t>(offs.size(), static_cast<std::size_t>(oversample) *
                                                  static_cast<std::size_t>(p));
-      ByteWriter w;
+      std::vector<RecordView> local;
+      local.reserve(want);
       for (std::size_t i = 0; i < want; ++i) {
         const auto kv = page_.at(offs[i * offs.size() / want]);
-        put_view(w, RecordView{directed(kv), kv.key, kv.value}, composite);
+        local.push_back(composite ? RecordView{directed(kv), kv.key, kv.value}
+                                  : RecordView{directed(kv), {}, {}});
       }
+      std::sort(local.begin(), local.end(), view_less);
+      ByteWriter w;
+      for (const auto& v : local) put_view(w, v, composite);
       const auto parts = comm_->gather(0, w.take());
       if (comm_->rank() == 0) {
+        // Pairwise merge of the sorted runs, log2(p) rounds. Views equal
+        // under view_less carry identical bytes, so the picked boundaries
+        // match a full sort of the sample bit for bit.
         std::vector<RecordView> sample;
-        for (const auto& part : parts) read_views(part, composite, sample);
-        std::sort(sample.begin(), sample.end(), view_less);
+        std::vector<std::size_t> run_end{0};
+        for (const auto& part : parts) {
+          read_views(part, composite, sample);
+          run_end.push_back(sample.size());
+        }
+        const std::size_t runs = parts.size();
+        for (std::size_t width = 1; width < runs; width *= 2) {
+          for (std::size_t lo = 0; lo + width < runs; lo += 2 * width) {
+            const std::size_t hi = std::min(lo + 2 * width, runs);
+            std::inplace_merge(sample.begin() + static_cast<std::ptrdiff_t>(run_end[lo]),
+                               sample.begin() + static_cast<std::ptrdiff_t>(run_end[lo + width]),
+                               sample.begin() + static_cast<std::ptrdiff_t>(run_end[hi]),
+                               view_less);
+          }
+        }
         ByteWriter bw;
         for (int i = 1; i < p; ++i) {
           // With no records anywhere the boundary value is never consulted.

@@ -165,6 +165,14 @@ class Comm {
   /// from interfering.
   bool try_shuffle_recv(const std::vector<char>& done_sources, Envelope& out);
 
+  /// Has-data exchange: `sending[d]` != 0 says this rank will send to rank
+  /// d; returns, per source rank, whether that source will send here
+  /// (entry `rank()` echoes `sending[rank()]`). A Bruck all-to-all of one
+  /// bit per (source, destination) pair on an internal tag: ceil(log2 P)
+  /// rounds of one message of at most ceil(P/2) bit-packed flags each, so
+  /// shuffles can skip the legs that carry nothing.
+  std::vector<char> exchange_has_data(const std::vector<char>& sending);
+
   /// The memory budget attached to the runtime (nullptr = ungoverned).
   MemoryBudget* memory_budget() const;
 
@@ -189,7 +197,10 @@ class Comm {
 
   /// Personalized all-to-all: send_bufs[i] goes to rank i; returns the
   /// buffers received, indexed by source rank. This is the shuffle
-  /// primitive. Payloads are handed off by ownership transfer — each buffer
+  /// primitive. An exchange_has_data round first tells each rank which
+  /// sources will send to it; then only non-empty legs are posted, so P
+  /// ranks send P * ceil(log2 P) flag messages plus one message per
+  /// non-empty off-diagonal pair across the fabric, not P * (P-1). Payloads are handed off by ownership transfer — each buffer
   /// moves into the destination rank's mailbox and out to the receiver
   /// untouched, so shuffled bytes are never copied by the runtime; the
   /// virtual network model still charges the fabric cost.

@@ -34,6 +34,7 @@ namespace {
 constexpr int kBcastTag = -2;
 constexpr int kGatherTag = -3;
 constexpr int kAlltoallTag = -4;
+constexpr int kHasDataTag = -5;
 
 struct Message {
   int source;
@@ -289,6 +290,7 @@ struct Shared {
       case kBcastTag: return "mpsim.bytes.bcast";
       case kGatherTag: return "mpsim.bytes.gather";
       case kAlltoallTag: return "mpsim.bytes.alltoall";
+      case kHasDataTag: return "mpsim.bytes.counts";
       default: return "mpsim.bytes.p2p";
     }
   }
@@ -770,6 +772,9 @@ void Shared::telemetry_scan() {
   for (int r = 0; r < size; ++r) {
     const int st = status[static_cast<std::size_t>(r)].state.load(
         std::memory_order_acquire);
+    // A running rank samples itself. Stamping it here could also land
+    // after that rank's own final done/failed sample and hide it.
+    if (st == kRunning) continue;
     // A parked rank's clock is frozen; stamp its last known virtual time
     // so the sweep refreshes state without inventing progress.
     const double vt = smp->last_vtime(r);
@@ -1258,13 +1263,15 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
     }
     mb.queue.push_back(std::move(msg));
     mb.queued_bytes += n;
+    // Accounted before the lock drops: once queued, the receiver may pop
+    // the message and subtract its bytes at any moment.
+    if (shared_->budget != nullptr) shared_->budget->add_mailbox(dest, n);
     if (shared_->metrics != nullptr) queue_depth = mb.queue.size();
     if (mb.recv_waiting) {
       mb.recv_waiting = false;
       wake_receiver = true;
     }
   }
-  if (shared_->budget != nullptr) shared_->budget->add_mailbox(dest, n);
   shared_->progress.fetch_add(1, std::memory_order_release);
   mb.cv.notify_all();
   if (wake_receiver && shared_->fibers != nullptr) shared_->fibers->wake(dest);
@@ -1788,41 +1795,90 @@ std::vector<std::vector<unsigned char>> Comm::allgather(
   return out;
 }
 
+std::vector<char> Comm::exchange_has_data(const std::vector<char>& sending) {
+  charge_compute();
+  const int p = size();
+  PAPAR_CHECK_MSG(static_cast<int>(sending.size()) == p,
+                  "has-data exchange requires one flag per rank");
+  // Bruck all-to-all of one bit per (source, destination) pair. Slot i
+  // starts as this rank's bit for rank + i; in the round of distance d
+  // every slot with bit d set moves d ranks on, so after all rounds slot i
+  // holds the bit rank - i sent to this rank.
+  std::vector<char> slot(static_cast<std::size_t>(p));
+  for (int i = 0; i < p; ++i) {
+    slot[static_cast<std::size_t>(i)] =
+        sending[static_cast<std::size_t>((rank_ + i) % p)] != 0 ? 1 : 0;
+  }
+  for (int d = 1; d < p; d <<= 1) {
+    std::vector<unsigned char> packed;
+    std::size_t bit = 0;
+    for (int i = d; i < p; ++i) {
+      if ((i & d) == 0) continue;
+      if (bit % 8 == 0) packed.push_back(0);
+      if (slot[static_cast<std::size_t>(i)] != 0) {
+        packed.back() |= static_cast<unsigned char>(1u << (bit % 8));
+      }
+      ++bit;
+    }
+    const std::size_t nbytes = packed.size();
+    deliver((rank_ + d) % p, detail::kHasDataTag, std::move(packed));
+    const auto in = recv((rank_ - d + p) % p, detail::kHasDataTag).payload;
+    PAPAR_CHECK_MSG(in.size() == nbytes, "has-data exchange length mismatch");
+    bit = 0;
+    for (int i = d; i < p; ++i) {
+      if ((i & d) == 0) continue;
+      slot[static_cast<std::size_t>(i)] = static_cast<char>((in[bit / 8] >> (bit % 8)) & 1u);
+      ++bit;
+    }
+  }
+  std::vector<char> from(static_cast<std::size_t>(p));
+  for (int i = 0; i < p; ++i) {
+    from[static_cast<std::size_t>((rank_ - i + p) % p)] = slot[static_cast<std::size_t>(i)];
+  }
+  return from;
+}
+
 std::vector<std::vector<unsigned char>> Comm::alltoallv(
     std::vector<std::vector<unsigned char>> send_bufs) {
   charge_compute();
   const int p = size();
   PAPAR_CHECK_MSG(static_cast<int>(send_bufs.size()) == p,
                   "alltoallv requires one buffer per rank");
-  // Post all sends (buffered), staggering destinations so every rank does
-  // not hammer rank 0 first, then drain one message from each source. Each
-  // buffer is handed off by move: the shuffle's bytes are never copied
-  // between the sender and the receiver's mailbox. If a source dies before
-  // sending its buffer, the matching recv throws PeerFailureError — a
-  // partial delivery is never mistaken for an empty buffer.
+  // One has-data exchange tells every rank which sources will send to it;
+  // then only non-empty legs are posted, and silent sources are done up
+  // front. Sends are staggered so every rank
+  // does not hammer rank 0 first, and each buffer is handed off by move:
+  // the shuffle's bytes are never copied between the sender and the
+  // receiver's mailbox. If an announced source dies before sending its
+  // buffer, the matching recv throws PeerFailureError — a partial delivery
+  // is never mistaken for an empty buffer.
+  std::vector<char> sending(static_cast<std::size_t>(p));
+  for (std::size_t d = 0; d < sending.size(); ++d) sending[d] = !send_bufs[d].empty();
+  std::vector<char> done = exchange_has_data(sending);
+  for (auto& flag : done) flag = !flag;
   std::vector<std::vector<unsigned char>> out(static_cast<std::size_t>(p));
-  std::vector<char> got(static_cast<std::size_t>(p), 0);
   const bool credits = shared_->mailbox_cap > 0;
   for (int step = 0; step < p; ++step) {
     const int dest = (rank_ + step) % p;
-    deliver(dest, detail::kAlltoallTag,
-            std::move(send_bufs[static_cast<std::size_t>(dest)]));
+    auto& buf = send_bufs[static_cast<std::size_t>(dest)];
+    if (buf.empty()) continue;
+    deliver(dest, detail::kAlltoallTag, std::move(buf));
     if (credits) {
       // Under credit-based flow control, drain opportunistically between
       // sends so this rank's mailbox returns credits while it is still
-      // posting — without this, every rank posts p sends before its first
-      // recv and tight budgets stall on emergency credits. Per-source FIFO
-      // plus the skip mask keeps this byte-identical to the drain loop.
+      // posting — without this, every rank posts all its sends before its
+      // first recv and tight budgets stall on emergency credits. Per-source
+      // FIFO plus the done mask keeps this byte-identical to the drain loop.
       Envelope env;
-      while (try_recv_tagged(detail::kAlltoallTag, got, env)) {
-        got[static_cast<std::size_t>(env.source)] = 1;
+      while (try_recv_tagged(detail::kAlltoallTag, done, env)) {
+        done[static_cast<std::size_t>(env.source)] = 1;
         out[static_cast<std::size_t>(env.source)] = std::move(env.payload);
       }
     }
   }
   for (int step = 0; step < p; ++step) {
     const int src = (rank_ - step + p) % p;
-    if (got[static_cast<std::size_t>(src)] != 0) continue;
+    if (done[static_cast<std::size_t>(src)] != 0) continue;
     out[static_cast<std::size_t>(src)] = recv(src, detail::kAlltoallTag).payload;
   }
   return out;

@@ -194,7 +194,8 @@ FiberScheduler::FiberScheduler(int nranks, const SchedulerOptions& options)
     f.rank = r;
     f.impl = impl_.get();
     f.stack_size = stack_bytes;
-    f.stack = std::make_unique<unsigned char[]>(stack_bytes);
+    // Uninitialized: only the pages a fiber touches become resident.
+    f.stack = std::make_unique_for_overwrite<unsigned char[]>(stack_bytes);
   }
 }
 

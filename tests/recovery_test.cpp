@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -303,6 +304,67 @@ TEST(RecoveryReplay, SpilledRetentionServesReplayFromDisk) {
   EXPECT_GT(recorder.counter("recovery.retention_spill_bytes"), 0u);
   EXPECT_GT(recorder.counter("recovery.refetches"), 0u);
   fs::remove_all(dir);
+}
+
+/// `exchanges` sparse alltoallvs on 8 ranks (three has-data rounds each):
+/// rank r sends only to itself and to one peer that moves every exchange.
+/// Returns everything the rank received, in order.
+std::string sparse_exchanges(mp::Comm& comm, int exchanges) {
+  const int p = comm.size();
+  const int r = comm.rank();
+  std::string got;
+  for (int e = 0; e < exchanges; ++e) {
+    std::vector<std::vector<unsigned char>> send(static_cast<std::size_t>(p));
+    send[static_cast<std::size_t>(r)] = bytes_of("self" + std::to_string(r));
+    send[static_cast<std::size_t>((3 * r + e + 1) % p)] =
+        bytes_of(std::to_string(r) + "@" + std::to_string(e));
+    for (const auto& part : comm.alltoallv(std::move(send))) got += str_of(part) + "|";
+  }
+  return got;
+}
+
+TEST(RecoveryReplay, CrashInsideHasDataRoundsReplaysByteIdentical) {
+  const int p = 8;
+  std::mutex mu;
+  auto run = [&](mp::Runtime& rt, int exchanges) {
+    std::vector<std::string> out(static_cast<std::size_t>(p));
+    const auto stats = rt.run([&](mp::Comm& comm) {
+      auto got = sparse_exchanges(comm, exchanges);
+      std::lock_guard<std::mutex> lock(mu);
+      out[static_cast<std::size_t>(comm.rank())] = std::move(got);
+    });
+    return std::make_pair(out, stats);
+  };
+  mp::Runtime clean_rt(p, mp::NetworkModel::zero());
+  const auto clean = run(clean_rt, 2).first;
+
+  // Rank 1's events through the first exchange, from a benign probe; the
+  // second exchange opens with three (send, recv) has-data rounds, so
+  // event +4 is its second round's receive.
+  mp::FaultInjector probe(mp::FaultPlan::parse("seed=1"));
+  {
+    mp::Runtime rt(p, mp::NetworkModel::zero());
+    rt.set_fault_injector(&probe);
+    run(rt, 1);
+  }
+  const std::uint64_t at = probe.event_count(1) + 4;
+
+  mp::Runtime rt(p, mp::NetworkModel::zero());
+  mp::RecoveryOptions ropts;
+  ropts.mode = mp::RecoveryMode::kLocal;
+  rt.set_recovery(ropts);
+  mp::FaultInjector inj(mp::FaultPlan::parse("seed=3,crash=1@" + std::to_string(at)));
+  rt.set_fault_injector(&inj);
+  const auto [recovered, stats] = run(rt, 2);
+
+  EXPECT_EQ(recovered, clean);
+  EXPECT_EQ(inj.counts().crashes, 1u);
+  EXPECT_GE(stats.rank_replays, 1u);
+  // The replay re-reads the flags and payloads it had consumed from its
+  // retention log; no peer observed the crash.
+  EXPECT_GT(stats.refetched_segments, 0u);
+  EXPECT_EQ(stats.recoveries, 0);
+  EXPECT_EQ(inj.counts().detections, 0u);
 }
 
 // -- Per-rank checkpoint slices -----------------------------------------------

@@ -85,6 +85,22 @@ TEST(SchedulerScale, BothModesAgreeAt256Ranks) {
             baseline.partitioning.edge_partition);
 }
 
+TEST(SchedulerScale, HybridCut1024RanksShufflesOnlyNonEmptyLegs) {
+  // At 1024 ranks most shuffle legs carry nothing: the has-data exchange
+  // keeps every stage far below the p*(p-1) messages a dense all-to-all
+  // posts, and partitions still match the 16-rank baseline.
+  const auto g = scale_graph();
+  const auto baseline = graph::papar_hybrid_cut(g, 16, 16, /*threshold=*/32);
+  const int p = 1024;
+  const auto wide = graph::papar_hybrid_cut(g, p, 16, /*threshold=*/32,
+                                            fiber_options(4, /*seed=*/0));
+  EXPECT_EQ(wide.partitioning.edge_partition, baseline.partitioning.edge_partition);
+  ASSERT_FALSE(wide.report.stages.empty());
+  for (const auto& stage : wide.report.stages) {
+    EXPECT_LT(static_cast<double>(stage.shuffle_messages), 0.3 * p * p) << stage.id;
+  }
+}
+
 TEST(SchedulerScale, FaultInjectionUnderFibersRecoversExactly) {
   const auto db = scale_db();
   const auto clean =
