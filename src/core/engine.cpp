@@ -498,11 +498,6 @@ PartitionResult WorkflowEngine::run(
     runtime.set_recovery(std::move(ropts));
   }
 
-  // Install the run's sort-engine knob as the process-wide default for the
-  // run's duration; the scope restores the previous default on exit,
-  // exceptions included.
-  sortlib::SortEngineScope sort_scope(options_.sort_engine);
-
   auto body = [&](mp::Comm& comm) {
     // Stage labels feed both the causal tracer and the memory budget's
     // rank -> stage high-water breakdown (and BudgetExceededError's text).

@@ -25,17 +25,12 @@
 #include "mpsim/runtime.hpp"
 #include "obs/obs.hpp"
 #include "schema/input_config.hpp"
-#include "sortlib/sort.hpp"
 
 namespace papar::core {
 
 struct EngineOptions {
   /// Reducer range-splitter selection for sort jobs (§III-D sampling).
   mr::SplitterMethod splitter = mr::SplitterMethod::kSampled;
-  /// Local sort engine for the run (--sort=auto|merge|radix): installed as
-  /// the process-wide default for the run's duration. kAuto dispatches on
-  /// key type and input size (sortlib/sort.hpp).
-  sortlib::SortEngine sort_engine = sortlib::SortEngine::kAuto;
   /// CSC compression of packed groups (§III-D compression).
   bool compress_packed = false;
   /// Where stage checkpoints additionally spill to disk. Checkpointing
@@ -61,11 +56,10 @@ struct EngineOptions {
   /// directory under the system temp dir. Spill files are removed as soon
   /// as each operation completes.
   std::string spill_dir;
-  /// How virtual ranks are executed: one OS thread per rank (the default,
-  /// faithful to the paper's 16-node scale) or N rank fibers multiplexed
-  /// over a fixed worker pool (`--scheduler=fibers --workers K`), which
-  /// scales the same workflows to 1024 ranks (DESIGN.md §13). Case-study
-  /// drivers that build their own Runtime pass this through.
+  /// How virtual ranks are executed: rank fibers multiplexed over a fixed
+  /// worker pool (`--workers K`), which runs the paper's 16-node scale and
+  /// the same workflows at 1024 ranks (DESIGN.md §13). Case-study drivers
+  /// that build their own Runtime pass this through.
   mp::SchedulerOptions scheduler;
   /// Continuous telemetry (DESIGN.md §15). Any of the three knobs below
   /// being set attaches a TelemetrySampler for the run: per-rank time-series

@@ -421,11 +421,7 @@ bool tie_less(KeyColumn::TieBreak tie, const KvPair& a, const KvPair& b) {
 }
 
 /// Whether a key column over `n` records takes the radix path.
-bool use_radix(std::size_t n) {
-  const sortlib::SortEngine engine = sortlib::default_sort_engine();
-  return engine == sortlib::SortEngine::kRadix ||
-         (engine == sortlib::SortEngine::kAuto && n >= sortlib::kRadixAutoCutoff);
-}
+bool use_radix(std::size_t n) { return n >= sortlib::kRadixAutoCutoff; }
 
 /// Peak bytes of a key column over `n` records: the entries, plus the
 /// scratch buffer on the radix path.

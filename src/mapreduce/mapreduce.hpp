@@ -135,9 +135,8 @@ class MapReduce {
 
   /// Stable local sort by `col`; the only way a page gets locally ordered.
   /// One pass extracts a {key words, record offset} column, which is
-  /// LSD-radix-sorted when the SortEngine allows it (kAuto from
-  /// sortlib::kRadixAutoCutoff records, or kRadix) and comparison-sorted
-  /// otherwise; runs of equal words are then tie-broken on record bytes and
+  /// LSD-radix-sorted from sortlib::kRadixAutoCutoff records and
+  /// comparison-sorted below that; runs of equal words are then tie-broken on record bytes and
   /// the page is rebuilt with one reorder. Past the budget's soft watermark
   /// the page is sorted externally (runs spill to disk) with `col.less`.
   /// Output bytes are identical on every path.

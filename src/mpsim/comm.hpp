@@ -4,9 +4,8 @@
 // send/recv, nonblocking isend/irecv completed by Request::wait (the paper's
 // MPI backend uses Isend/Irecv/Wait for the data shuffle), and the
 // collectives MR-MPI needs (barrier, bcast, gather(v), alltoallv, allreduce,
-// allgather). Ranks execute either as one OS thread each (--scheduler=threads)
-// or as fibers multiplexed over a worker pool (--scheduler=fibers, DESIGN.md
-// §13); payloads move through per-rank mailboxes either way.
+// allgather). Ranks execute as fibers multiplexed over a worker pool
+// (sched.hpp, DESIGN.md §13); payloads move through per-rank mailboxes.
 //
 // Virtual time: every rank carries a clock. Compute is charged from the
 // hosting thread's CPU-time counter (CLOCK_THREAD_CPUTIME_ID) each time the
@@ -94,7 +93,7 @@ class Comm {
   /// send to a destination whose mailbox is over the byte cap blocks (never
   /// drops) until the receiver drains messages and returns credits. An
   /// empty mailbox always admits one message of any size, and the deadlock
-  /// watchdog converts a cycle of credit-starved senders into a single
+  /// scan converts a cycle of credit-starved senders into a single
   /// counted emergency credit, so governed sends stall but cannot deadlock.
   void send(int dest, int tag, const void* data, std::size_t n);
   void send(int dest, int tag, const std::vector<unsigned char>& bytes) {
@@ -118,13 +117,13 @@ class Comm {
 
   /// Deadline-aware receive: throws TimeoutError if no matching message
   /// arrives by virtual time `vtime() + timeout_seconds`. The deadline is
-  /// measured on the rank's virtual clock, not wall time — under the fiber
-  /// scheduler a rank can sit unscheduled for arbitrary real time without
-  /// its deadlines firing. A timeout fires in two ways: a matching message
-  /// whose arrival stamp exceeds the deadline throws immediately (the
-  /// message stays queued for a later receive), and a quiescent system with
-  /// no satisfiable work fires the earliest pending deadline. Either way
-  /// the rank's clock advances to the deadline before the throw.
+  /// measured on the rank's virtual clock, not wall time — a rank fiber can
+  /// sit unscheduled for arbitrary real time without its deadlines firing.
+  /// A timeout fires in two ways: a matching message whose arrival stamp
+  /// exceeds the deadline throws immediately (the message stays queued for
+  /// a later receive), and a quiescent system with no satisfiable work
+  /// fires the earliest pending deadline. Either way the rank's clock
+  /// advances to the deadline before the throw.
   Envelope recv(int source, int tag, double timeout_seconds);
 
   /// Nonblocking send; the returned request is already complete.
@@ -366,8 +365,8 @@ class Comm {
   /// propagated with every message; 0 = no stage declared yet).
   std::uint32_t trace_stage_ = 0;
 
-  // -- Localized-recovery replay state (all touched only by this rank's own
-  // thread; the retention logs themselves live with the destination
+  // -- Localized-recovery replay state (all touched only by this rank itself;
+  // the retention logs themselves live with the destination
   // mailboxes in detail::Shared under their mutexes).
 
   /// Messages this rank sent per (dest, tag) since the last retention

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -14,7 +12,6 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "mpsim/sched.hpp"
@@ -110,7 +107,6 @@ struct RetentionSpool {
 
 struct Mailbox {
   std::mutex mutex;
-  std::condition_variable cv;
   std::deque<Message> queue;
   /// Sum of queued payload sizes; the quantity credit-based flow control
   /// caps at Shared::mailbox_cap. Guarded by `mutex`.
@@ -119,12 +115,11 @@ struct Mailbox {
   /// single over-cap enqueue so a cycle of blocked senders always makes
   /// progress instead of deadlocking. Guarded by `mutex`.
   std::size_t credit_grants = 0;
-  /// Fiber-mode waiter registration, guarded by `mutex`. Registration
-  /// happens in the same critical section as the failed predicate check,
-  /// so an enqueue (or credit return) either precedes the check or sees
-  /// the waiter — a parked fiber can never miss its wakeup. Wakes are
-  /// sticky and spurious resumes are re-checked, so stale entries are
-  /// harmless.
+  /// Waiter registration, guarded by `mutex`. Registration happens in the
+  /// same critical section as the failed predicate check, so an enqueue
+  /// (or credit return) either precedes the check or sees the waiter — a
+  /// parked fiber can never miss its wakeup. Wakes are sticky and spurious
+  /// resumes are re-checked, so stale entries are harmless.
   bool recv_waiting = false;      // the owning rank is parked in recv
   std::vector<int> send_waiters;  // ranks parked awaiting credits here
 
@@ -151,9 +146,9 @@ struct Mailbox {
 };
 
 // Per-rank execution state, maintained for the failure detector and the
-// deadlock watchdog. Written only by the owning rank's thread; read by any
-// thread, which is why every field is atomic (a reader never takes a lock
-// a rank might hold).
+// deadlock scan. Written only by the owning rank; read from any worker
+// (the idle poll scans every rank), which is why every field is atomic (a
+// reader never takes a lock a rank might hold).
 enum RankState : int {
   kRunning = 0,
   kBlockedRecv,
@@ -186,7 +181,7 @@ struct RankStatus {
   std::atomic<std::size_t> blocked_bytes{0};
   /// Barrier generation the rank is waiting on while kBlockedBarrier.
   /// Lets the deadlock scan tell a genuinely stuck waiter from one whose
-  /// barrier already resolved but whose thread has not been scheduled yet.
+  /// barrier already resolved but whose fiber has not resumed yet.
   std::atomic<std::uint64_t> blocked_generation{0};
   /// Virtual clock at which the rank terminated (feeds the heartbeat
   /// failure-detection latency model).
@@ -215,18 +210,17 @@ struct Shared {
 
   // Generation-counting barrier that also resolves the post-barrier clock.
   std::mutex barrier_mutex;
-  std::condition_variable barrier_cv;
   int barrier_count = 0;
   std::uint64_t barrier_generation = 0;
   double barrier_pending_max = 0.0;
   double barrier_resolved_time = 0.0;
-  /// Fiber-mode barrier waiters (guarded by barrier_mutex; same
-  /// registration discipline as Mailbox's waiter slots).
+  /// Barrier waiters (guarded by barrier_mutex; same registration
+  /// discipline as Mailbox's waiter slots).
   std::vector<int> barrier_waiters;
 
-  /// The fiber scheduler hosting this attempt's ranks, or nullptr in
-  /// threaded mode (and between runs). Set by Runtime::run around each
-  /// attempt; every blocking site branches on this one pointer.
+  /// The fiber scheduler hosting this attempt's ranks. Set by Runtime::run
+  /// around each attempt; only rank bodies and the idle poll touch it, and
+  /// both run inside the attempt.
   FiberScheduler* fibers = nullptr;
 
   std::atomic<std::uint64_t> remote_messages{0};
@@ -257,7 +251,7 @@ struct Shared {
   /// Attached telemetry sampler (nullptr = telemetry off; like the tracer,
   /// every hot-path hook is gated on this one pointer). Ranks sample
   /// themselves at comm events (rate-limited by TelemetrySampler::due) and
-  /// the watchdog/idle sweep (`telemetry_scan`) covers parked ranks.
+  /// the idle poll's sweep (`telemetry_scan`) covers parked ranks.
   obs::TelemetrySampler* sampler = nullptr;
 
   /// Attached metrics registry plus handles resolved at attach time so the
@@ -268,7 +262,7 @@ struct Shared {
   obs::Histogram* m_queue = nullptr;        // mailbox depth after enqueue
   obs::Counter* m_retransmits = nullptr;    // fault-layer resends
 
-  // -- Failure-detector / deadlock-watchdog state ---------------------------
+  // -- Failure-detector / deadlock-scan state --------------------------------
   std::unique_ptr<RankStatus[]> status;
   /// Bumped on every delivery, successful receive, barrier resolution, and
   /// rank termination; the deadlock check requires it to hold still.
@@ -279,8 +273,6 @@ struct Shared {
   std::string abort_reason;
   /// Serializes deadlock scans (try_lock: losers simply skip the scan).
   std::mutex detect_mutex;
-  /// How long a blocked rank sleeps before re-checking for deadlock.
-  std::chrono::milliseconds watchdog{100};
   /// Recovery attempt currently executing (written between attempts).
   int attempt = 0;
 
@@ -347,21 +339,8 @@ struct Shared {
     attempt = 0;
   }
 
-  /// Wakes every rank that might be blocked, whatever it is blocked on.
-  /// The empty lock/unlock pairs order the wakeup after any in-flight
-  /// predicate check, so a waiter cannot miss the notification.
-  void wake_all() {
-    for (auto& mb : mailboxes) {
-      { std::lock_guard<std::mutex> lock(mb.mutex); }
-      mb.cv.notify_all();
-    }
-    { std::lock_guard<std::mutex> lock(barrier_mutex); }
-    barrier_cv.notify_all();
-    if (fibers != nullptr) fibers->wake_all();
-  }
-
   /// Marks a rank as terminated exactly once (idempotent: the crash path
-  /// declares before throwing and the thread wrapper declares again).
+  /// declares before throwing and the rank body's catch declares again).
   void declare_terminated(int rank, int new_state, double vtime) {
     auto& st = status[static_cast<std::size_t>(rank)];
     if (terminated_state(st.state.load(std::memory_order_relaxed))) return;
@@ -369,7 +348,9 @@ struct Shared {
     st.state.store(new_state, std::memory_order_release);
     terminated.fetch_add(1, std::memory_order_relaxed);
     progress.fetch_add(1, std::memory_order_relaxed);
-    wake_all();
+    // Wakes are sticky, so a rank between its predicate check and its park
+    // still re-checks and sees the termination.
+    fibers->wake_all();
   }
 
   /// The terminated rank `self` is waiting on, or -1 when its wait can
@@ -519,13 +500,13 @@ struct Shared {
   void telemetry_sample_self(int rank, double vtime, int state);
 
   /// Observer-side sweep over all ranks (parked ranks included), stamping
-  /// each with its last known virtual clock. Runs from the watchdog /
-  /// fiber idle poll with no caller locks held.
+  /// each with its last known virtual clock. Runs from the idle poll with
+  /// no caller locks held.
   void telemetry_scan();
 
-  /// The threaded watchdog's / fiber idle poll's combined duty: deadlock
-  /// scan plus a telemetry sweep and stream frame.
-  void watchdog_poll() {
+  /// The idle poll's duty, run by a worker that found no runnable fiber
+  /// for an interval: deadlock scan plus a telemetry sweep and stream frame.
+  void idle_poll() {
     try_detect_deadlock();
     if (obs::TelemetrySampler* smp = sampler) {
       telemetry_scan();
@@ -557,11 +538,11 @@ void Shared::try_detect_deadlock() {
         if (st.timeout_fired.load(std::memory_order_relaxed)) return;
         const int src = st.blocked_source.load(std::memory_order_relaxed);
         // A rank waiting on a terminated peer will throw PeerFailureError
-        // by itself; that is progress, not deadlock. (Under fibers the
-        // termination broadcast already woke it; the extra wake is a
-        // harmless belt-and-braces resume.)
+        // by itself; that is progress, not deadlock. (The termination
+        // broadcast already woke it; the extra wake is a harmless
+        // belt-and-braces resume.)
         if (awaited_terminated(r, src) >= 0) {
-          if (fibers != nullptr) fibers->wake(r);
+          fibers->wake(r);
           return;
         }
         ++blocked;
@@ -574,7 +555,7 @@ void Shared::try_detect_deadlock() {
         const int dest = st.blocked_source.load(std::memory_order_relaxed);
         if (terminated_state(status[static_cast<std::size_t>(dest)].state.load(
                 std::memory_order_acquire))) {
-          if (fibers != nullptr) fibers->wake(r);
+          fibers->wake(r);
           return;
         }
         ++blocked;
@@ -586,8 +567,8 @@ void Shared::try_detect_deadlock() {
         // own peer-failure path.
         if (terminated.load(std::memory_order_relaxed) > 0) return;
         // A waiter whose generation already resolved is not stuck — its
-        // thread just has not been scheduled since the resolving notify;
-        // it will observe the advanced generation and proceed.
+        // fiber just has not resumed since the resolving wake; it will
+        // observe the advanced generation and proceed.
         std::uint64_t current_generation;
         {
           std::lock_guard<std::mutex> barrier_lock(barrier_mutex);
@@ -595,7 +576,7 @@ void Shared::try_detect_deadlock() {
         }
         if (st.blocked_generation.load(std::memory_order_relaxed) !=
             current_generation) {
-          if (fibers != nullptr) fibers->wake(r);
+          fibers->wake(r);
           return;
         }
         ++blocked;
@@ -616,9 +597,8 @@ void Shared::try_detect_deadlock() {
       std::lock_guard<std::mutex> mb_lock(mb.mutex);
       for (const auto& m : mb.queue) {
         if ((src == kAnySource || m.source == src) && m.tag == tag) {
-          // Satisfiable: the rank only needs to be scheduled. Threads get
-          // there via the watchdog re-check; a parked fiber needs a wake.
-          if (fibers != nullptr) fibers->wake(r);
+          // Satisfiable: the parked rank only needs a wake.
+          fibers->wake(r);
           return;
         }
       }
@@ -629,7 +609,7 @@ void Shared::try_detect_deadlock() {
       std::lock_guard<std::mutex> mb_lock(mb.mutex);
       if (mb.queued_bytes == 0 || mb.queued_bytes + n <= mailbox_cap ||
           mb.credit_grants > 0) {
-        if (fibers != nullptr) fibers->wake(r);
+        fibers->wake(r);
         return;  // the sender can proceed; it just has not been scheduled
       }
     }
@@ -652,8 +632,7 @@ void Shared::try_detect_deadlock() {
     }
     if (budget != nullptr) budget->note_emergency_credit(dest);
     progress.fetch_add(1, std::memory_order_release);
-    mb.cv.notify_all();
-    if (fibers != nullptr) fibers->wake(first_blocked_sender);
+    fibers->wake(first_blocked_sender);
     return;
   }
 
@@ -685,8 +664,7 @@ void Shared::try_detect_deadlock() {
         std::lock_guard<std::mutex> mb_lock(mb.mutex);
         mb.recv_waiting = false;
       }
-      mb.cv.notify_all();
-      if (fibers != nullptr) fibers->wake(timeout_rank);
+      fibers->wake(timeout_rank);
       return;
     }
   }
@@ -727,7 +705,7 @@ void Shared::try_detect_deadlock() {
     abort_reason = dump.str();
   }
   abort_deadlock.store(true, std::memory_order_release);
-  wake_all();
+  fibers->wake_all();
 }
 
 void Shared::telemetry_record(int rank, double vtime, int state,
@@ -748,9 +726,7 @@ void Shared::telemetry_record(int rank, double vtime, int state,
   }
   s.sort_records = smp->sort_records(rank);
   s.replays = smp->replays(rank);
-  if (fibers != nullptr) {
-    s.runq_depth = static_cast<std::uint32_t>(fibers->runq_depth());
-  }
+  s.runq_depth = static_cast<std::uint32_t>(fibers->runq_depth());
   smp->record(rank, s);
 }
 
@@ -1237,27 +1213,15 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
         st.blocked_tag.store(tag, std::memory_order_relaxed);
         st.blocked_bytes.store(n, std::memory_order_relaxed);
         st.state.store(detail::kBlockedSend, std::memory_order_release);
-        if (detail::FiberScheduler* fibers = s->fibers) {
-          // Register while still holding mb.mutex (same critical section
-          // as the failed credit check), then park with no locks held.
-          auto& waiters = mb.send_waiters;
-          if (std::find(waiters.begin(), waiters.end(), rank_) == waiters.end()) {
-            waiters.push_back(rank_);
-          }
-          lock.unlock();
-          fibers->park(rank_);
-          lock.lock();
-        } else {
-          const bool watchdog_expired =
-              mb.cv.wait_for(lock, s->watchdog) == std::cv_status::timeout;
-          if (watchdog_expired) {
-            // Scan without holding the mailbox lock (the scanner takes every
-            // mailbox lock in turn; never nest them).
-            lock.unlock();
-            s->watchdog_poll();
-            lock.lock();
-          }
+        // Register while still holding mb.mutex (same critical section as
+        // the failed credit check), then park with no locks held.
+        auto& waiters = mb.send_waiters;
+        if (std::find(waiters.begin(), waiters.end(), rank_) == waiters.end()) {
+          waiters.push_back(rank_);
         }
+        lock.unlock();
+        s->fibers->park(rank_);
+        lock.lock();
       }
       st.state.store(detail::kRunning, std::memory_order_release);
     }
@@ -1273,8 +1237,7 @@ void Comm::deliver(int dest, int tag, std::vector<unsigned char> payload) {
     }
   }
   shared_->progress.fetch_add(1, std::memory_order_release);
-  mb.cv.notify_all();
-  if (wake_receiver && shared_->fibers != nullptr) shared_->fibers->wake(dest);
+  if (wake_receiver) shared_->fibers->wake(dest);
   if (shared_->metrics != nullptr) {
     shared_->m_payload->observe(static_cast<double>(n));
     shared_->m_queue->observe(static_cast<double>(queue_depth));
@@ -1364,7 +1327,6 @@ Envelope Comm::recv_impl(int source, int tag, double timeout_seconds) {
   // Deadlines are virtual: the wait expires when no matching message can
   // arrive by `recv_begin + timeout` on the simulated clock — never because
   // the simulator host was slow or the rank sat parked behind other fibers.
-  // Identical semantics in both scheduler modes.
   const bool has_deadline = timeout_seconds >= 0.0;
   const double deadline_v = recv_begin + timeout_seconds;
   st.timeout_fired.store(false, std::memory_order_relaxed);
@@ -1414,11 +1376,8 @@ Envelope Comm::recv_impl(int source, int tag, double timeout_seconds) {
         }
         if (s->mailbox_cap > 0) {
           // Returning credits may unblock senders waiting on this mailbox.
-          mb.cv.notify_all();
-          if (s->fibers != nullptr && !mb.send_waiters.empty()) {
-            for (const int w : mb.send_waiters) s->fibers->wake(w);
-            mb.send_waiters.clear();
-          }
+          for (const int w : mb.send_waiters) s->fibers->wake(w);
+          mb.send_waiters.clear();
         }
         if (obs::TraceRecorder* tracer = s->tracer) {
           obs::TraceEvent ev;
@@ -1485,25 +1444,13 @@ Envelope Comm::recv_impl(int source, int tag, double timeout_seconds) {
                             mb.credit_grants);
       }
     }
-    if (detail::FiberScheduler* fibers = s->fibers) {
-      // Register while still holding mb.mutex (same critical section as
-      // the failed match scan), then park with no locks held.
-      mb.recv_waiting = true;
-      lock.unlock();
-      fibers->park(rank_);
-      lock.lock();
-      mb.recv_waiting = false;
-    } else {
-      const bool watchdog_expired =
-          mb.cv.wait_for(lock, s->watchdog) == std::cv_status::timeout;
-      if (watchdog_expired) {
-        // Scan for deadlock without holding our mailbox lock (the scanner
-        // takes every mailbox lock in turn; never nest them).
-        lock.unlock();
-        s->watchdog_poll();
-        lock.lock();
-      }
-    }
+    // Register while still holding mb.mutex (same critical section as the
+    // failed match scan), then park with no locks held.
+    mb.recv_waiting = true;
+    lock.unlock();
+    s->fibers->park(rank_);
+    lock.lock();
+    mb.recv_waiting = false;
   }
 }
 
@@ -1546,11 +1493,8 @@ bool Comm::try_recv_tagged(int tag, const std::vector<char>& skip_sources,
       s->retain_consumed(mb, rank_, out.source, out.tag, out.payload);
     }
     if (s->mailbox_cap > 0) {
-      mb.cv.notify_all();
-      if (s->fibers != nullptr && !mb.send_waiters.empty()) {
-        for (const int w : mb.send_waiters) s->fibers->wake(w);
-        mb.send_waiters.clear();
-      }
+      for (const int w : mb.send_waiters) s->fibers->wake(w);
+      mb.send_waiters.clear();
     }
     if (obs::TraceRecorder* tracer = s->tracer) {
       obs::TraceEvent ev;
@@ -1631,11 +1575,8 @@ void Comm::barrier() {
     s->barrier_pending_max = 0.0;
     ++s->barrier_generation;
     s->progress.fetch_add(1, std::memory_order_release);
-    s->barrier_cv.notify_all();
-    if (s->fibers != nullptr && !s->barrier_waiters.empty()) {
-      for (const int w : s->barrier_waiters) s->fibers->wake(w);
-      s->barrier_waiters.clear();
-    }
+    for (const int w : s->barrier_waiters) s->fibers->wake(w);
+    s->barrier_waiters.clear();
   } else {
     for (;;) {
       if (s->barrier_generation != my_generation) break;
@@ -1653,25 +1594,15 @@ void Comm::barrier() {
       }
       st.blocked_generation.store(my_generation, std::memory_order_relaxed);
       st.state.store(detail::kBlockedBarrier, std::memory_order_release);
-      if (detail::FiberScheduler* fibers = s->fibers) {
-        // Register under barrier_mutex (same critical section as the
-        // generation check), then park with no locks held.
-        auto& waiters = s->barrier_waiters;
-        if (std::find(waiters.begin(), waiters.end(), rank_) == waiters.end()) {
-          waiters.push_back(rank_);
-        }
-        lock.unlock();
-        fibers->park(rank_);
-        lock.lock();
-      } else {
-        const bool watchdog_expired =
-            s->barrier_cv.wait_for(lock, s->watchdog) == std::cv_status::timeout;
-        if (watchdog_expired) {
-          lock.unlock();
-          s->watchdog_poll();
-          lock.lock();
-        }
+      // Register under barrier_mutex (same critical section as the
+      // generation check), then park with no locks held.
+      auto& waiters = s->barrier_waiters;
+      if (std::find(waiters.begin(), waiters.end(), rank_) == waiters.end()) {
+        waiters.push_back(rank_);
       }
+      lock.unlock();
+      s->fibers->park(rank_);
+      lock.lock();
     }
     st.state.store(detail::kRunning, std::memory_order_release);
   }
@@ -2040,40 +1971,26 @@ RunStats Runtime::run(const std::function<void(Comm&)>& fn) {
         return;
       }
     };
-    if (sched_.mode == SchedulerMode::kFibers) {
-      // Fresh scheduler per attempt: recovery restarts every rank on a
-      // clean fiber with an empty run queue.
-      detail::FiberScheduler fibers(nranks_, sched_);
-      shared_->fibers = &fibers;
-      const std::function<void(int)> body = rank_body;
-      const std::function<void(int)> on_resume = [&](int r) {
-        // Slice boundary: re-base the rank's thread-CPU mark on the worker
-        // hosting this slice, so CPU burnt by other ranks sharing the
-        // worker (or by this rank on a previous worker) is never charged
-        // here. This is the clock-slicing rule of DESIGN.md §13.
-        comms[static_cast<std::size_t>(r)].last_cpu_ = thread_cpu_seconds();
-      };
-      const std::function<void()> on_idle = [&] {
-        shared_->watchdog_poll();
-      };
-      try {
-        fibers.run(body, on_resume, on_idle);
-      } catch (...) {
-        shared_->fibers = nullptr;
-        throw;
-      }
+    // Fresh scheduler per attempt: recovery restarts every rank on a
+    // clean fiber with an empty run queue.
+    detail::FiberScheduler fibers(nranks_, sched_);
+    shared_->fibers = &fibers;
+    const std::function<void(int)> body = rank_body;
+    const std::function<void(int)> on_resume = [&](int r) {
+      // Slice boundary: re-base the rank's thread-CPU mark on the worker
+      // hosting this slice, so CPU burnt by other ranks sharing the
+      // worker (or by this rank on a previous worker) is never charged
+      // here. This is the clock-slicing rule of DESIGN.md §13.
+      comms[static_cast<std::size_t>(r)].last_cpu_ = thread_cpu_seconds();
+    };
+    const std::function<void()> on_idle = [&] { shared_->idle_poll(); };
+    try {
+      fibers.run(body, on_resume, on_idle);
+    } catch (...) {
       shared_->fibers = nullptr;
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(nranks_));
-      for (int r = 0; r < nranks_; ++r) {
-        threads.emplace_back([&, r] {
-          comms[static_cast<std::size_t>(r)].last_cpu_ = thread_cpu_seconds();
-          rank_body(r);
-        });
-      }
-      for (auto& t : threads) t.join();
+      throw;
     }
+    shared_->fibers = nullptr;
 
     // Classify the attempt's errors. Fault-path unwinds (crash, the peer
     // failures and deadlocks it cascades into) are recoverable; anything

@@ -1,13 +1,12 @@
 // Runtime: spawns N simulated ranks and reports run statistics.
 //
 // Substitution for the paper's 16-node cluster (see DESIGN.md §2): each rank
-// has its own mailbox and virtual clock, and executes either on its own OS
-// thread (SchedulerMode::kThreads, the original design) or as one of N
-// fibers multiplexed over a fixed worker pool (SchedulerMode::kFibers, which
-// scales to 1024 ranks — see DESIGN.md §13). `run` blocks until every rank's
-// function returns, then reports per-rank virtual times, the makespan, and
-// fabric traffic totals. Exceptions thrown inside a rank are re-thrown from
-// run() after all ranks are joined.
+// has its own mailbox and virtual clock, and executes as one of N fibers
+// multiplexed over a fixed worker pool (sched.hpp; scales to 1024 ranks —
+// see DESIGN.md §13). `run` blocks until every rank's function returns, then
+// reports per-rank virtual times, the makespan, and fabric traffic totals.
+// Exceptions thrown inside a rank are re-thrown from run() after every rank
+// has finished.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +54,7 @@ struct RunStats {
 class Runtime {
  public:
   /// A runtime for `nranks` simulated ranks over the given fabric, executed
-  /// by the given scheduler (defaults to one OS thread per rank).
+  /// as fibers over the given scheduler's worker pool.
   explicit Runtime(int nranks, NetworkModel network = NetworkModel::rdma(),
                    SchedulerOptions sched = {});
   ~Runtime();
@@ -108,7 +107,7 @@ class Runtime {
   /// this runtime's rank count and must outlive the runtime or be detached
   /// first. With a budget attached: mailbox bytes are accounted per rank,
   /// and when the budget's `mailbox_limit` is nonzero, remote sends obey
-  /// credit-based flow control (see Comm::send). The deadlock watchdog
+  /// credit-based flow control (see Comm::send). The deadlock scan
   /// reports per-rank credit state in its dump and converts all-blocked
   /// sender cycles into counted emergency credits instead of DeadlockError.
   void set_memory_budget(MemoryBudget* budget);
@@ -124,7 +123,7 @@ class Runtime {
   /// Attaches a telemetry sampler (nullptr to detach): ranks snapshot
   /// their own state (stage, blocked kind, mailbox depth, budget, sort
   /// progress) into the sampler's per-rank rings at comm events, and the
-  /// deadlock watchdog / fiber idle poll sweeps parked ranks, so the rings
+  /// scheduler's idle poll sweeps parked ranks, so the rings
   /// stay fresh even when everything is blocked. The sampler is bound to
   /// this runtime's rank count and must outlive the runtime or be detached
   /// first. The disabled hot path is one pointer check.

@@ -44,19 +44,19 @@
 namespace papar::mp {
 
 SchedulerMode parse_scheduler_mode(std::string_view name) {
-  if (name == "threads") return SchedulerMode::kThreads;
   if (name == "fibers") return SchedulerMode::kFibers;
   throw ConfigError("unknown scheduler `" + std::string(name) +
-                    "` (expected `threads` or `fibers`)");
-}
-
-const char* scheduler_mode_name(SchedulerMode mode) {
-  return mode == SchedulerMode::kFibers ? "fibers" : "threads";
+                    "`: the only executor is `fibers` (the thread-per-rank "
+                    "executor was removed)");
 }
 
 namespace detail {
 
 namespace {
+
+/// Stack bytes per rank fiber. 1024 ranks cost 256 MB of address space, of
+/// which only touched pages become resident.
+constexpr std::size_t kStackBytes = 256 * 1024;
 
 /// Per-worker switching state, living on the worker's own stack.
 struct WorkerContext {
@@ -76,7 +76,6 @@ struct FiberScheduler::Fiber {
   Impl* impl = nullptr;
   ucontext_t ctx{};
   std::unique_ptr<unsigned char[]> stack;
-  std::size_t stack_size = 0;
   /// The worker currently (or last) hosting this fiber; set by the worker
   /// immediately before each resume. The fiber swaps back through it, so a
   /// slice always parks on the worker it resumed on.
@@ -127,7 +126,7 @@ void FiberScheduler::Impl::switch_into_fiber(WorkerContext& w, Fiber& f) {
   __tsan_switch_to_fiber(f.tsan, 0);
 #endif
 #ifdef PAPAR_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&w.asan_save, f.stack.get(), f.stack_size);
+  __sanitizer_start_switch_fiber(&w.asan_save, f.stack.get(), kStackBytes);
 #endif
   swapcontext(&w.ctx, &f.ctx);
 #ifdef PAPAR_ASAN_FIBERS
@@ -188,14 +187,12 @@ FiberScheduler::FiberScheduler(int nranks, const SchedulerOptions& options)
     impl_->randomized = true;
     impl_->rng = Rng(options.seed);
   }
-  const std::size_t stack_bytes = std::max<std::size_t>(options.stack_bytes, 64 * 1024);
   for (int r = 0; r < nranks; ++r) {
     Fiber& f = impl_->fibers[static_cast<std::size_t>(r)];
     f.rank = r;
     f.impl = impl_.get();
-    f.stack_size = stack_bytes;
     // Uninitialized: only the pages a fiber touches become resident.
-    f.stack = std::make_unique_for_overwrite<unsigned char[]>(stack_bytes);
+    f.stack = std::make_unique_for_overwrite<unsigned char[]>(kStackBytes);
   }
 }
 
@@ -212,7 +209,7 @@ void FiberScheduler::run(const std::function<void(int)>& body,
     Fiber& f = im.fibers[static_cast<std::size_t>(r)];
     PAPAR_CHECK_MSG(getcontext(&f.ctx) == 0, "getcontext failed");
     f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = f.stack_size;
+    f.ctx.uc_stack.ss_size = kStackBytes;
     f.ctx.uc_link = nullptr;
     const auto p = reinterpret_cast<std::uintptr_t>(&f);
     makecontext(&f.ctx, reinterpret_cast<void (*)()>(&Impl::trampoline), 2,
@@ -250,10 +247,10 @@ void FiberScheduler::worker_main(int worker_index) {
   std::unique_lock<std::mutex> lock(im.mutex);
   while (im.live > 0) {
     if (im.runq.empty()) {
-      // Everyone is parked or running elsewhere. Poll like the threaded
-      // watchdog: an idle interval with nothing runnable hands control to
-      // the deadlock scan, which fires emergency credits, virtual-deadline
-      // timeouts, or the deadlock abort — each of which wakes a fiber.
+      // Everyone is parked or running elsewhere: an idle interval with
+      // nothing runnable hands control to the deadlock scan, which fires
+      // emergency credits, virtual-deadline timeouts, or the deadlock
+      // abort — each of which wakes a fiber.
       const bool expired =
           im.cv.wait_for(lock, im.idle_poll) == std::cv_status::timeout;
       if (expired && im.runq.empty() && im.live > 0) {

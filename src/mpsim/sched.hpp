@@ -1,21 +1,19 @@
-// Rank scheduling for mpsim: one OS thread per rank, or N rank fibers
-// multiplexed over a fixed worker pool.
+// Rank scheduling for mpsim: N rank fibers multiplexed over a fixed worker
+// pool.
 //
-// The threaded mode is the original design and stays the byte-identity
-// baseline. The fiber mode is what lets experiments scale past the paper's
-// 16-node ceiling: each rank becomes a resumable ucontext execution context
-// (~a quarter MB of stack) that yields back to the scheduler at every
-// blocking communication event — recv, deadline waits, barriers, collective
-// waits, and credit-starved sends — so 1024 virtual ranks run on a handful
-// of workers without oversubscribing the host or distorting the virtual
-// clock (see DESIGN.md §13).
+// Each rank is a resumable ucontext execution context (a quarter MB of
+// stack, of which only touched pages become resident) that yields back to
+// the scheduler at every blocking communication event — recv, deadline
+// waits, barriers, collective waits, and credit-starved sends — so 1024
+// virtual ranks run on a handful of workers without oversubscribing the
+// host or distorting the virtual clock (see DESIGN.md §13).
 //
-// Thread-affinity invariant: under fibers, a rank may resume on a different
-// worker thread after every yield, and several ranks share one worker's
-// thread-CPU clock. No per-rank state may therefore live in thread_local
-// storage, thread ids, or raw CLOCK_THREAD_CPUTIME_ID marks; the runtime
-// re-bases each rank's CPU mark at every slice boundary (Comm::last_cpu_)
-// and keys all observability on rank ids.
+// Thread-affinity invariant: a rank may resume on a different worker thread
+// after every yield, and several ranks share one worker's thread-CPU clock.
+// No per-rank state may therefore live in thread_local storage, thread ids,
+// or raw CLOCK_THREAD_CPUTIME_ID marks; the runtime re-bases each rank's CPU
+// mark at every slice boundary (Comm::last_cpu_) and keys all observability
+// on rank ids.
 #pragma once
 
 #include <cstddef>
@@ -27,25 +25,19 @@
 namespace papar::mp {
 
 enum class SchedulerMode {
-  /// One OS thread per rank (the original design; baseline for A/B runs).
-  kThreads,
-  /// N rank fibers multiplexed over `workers` OS threads.
+  /// N rank fibers multiplexed over `workers` OS threads (the only
+  /// executor; the enumerator stays so callers can name it).
   kFibers,
 };
 
-/// Parses "threads" / "fibers" (the --scheduler values); throws ConfigError.
+/// Parses the --scheduler value: only "fibers" is accepted; anything else,
+/// "threads" included, throws ConfigError.
 SchedulerMode parse_scheduler_mode(std::string_view name);
 
-const char* scheduler_mode_name(SchedulerMode mode);
-
 struct SchedulerOptions {
-  SchedulerMode mode = SchedulerMode::kThreads;
-  /// Worker threads for kFibers; 0 picks min(hardware threads, ranks).
-  /// Ignored under kThreads.
+  SchedulerMode mode = SchedulerMode::kFibers;
+  /// Worker threads; 0 picks min(hardware threads, ranks).
   int workers = 0;
-  /// Stack bytes per rank fiber. 1024 ranks at the default cost 256 MB of
-  /// address space, of which only touched pages become resident.
-  std::size_t stack_bytes = 256 * 1024;
   /// Nonzero seeds a deterministic shuffle of the fiber run queue: ready
   /// ranks resume in seeded-random order instead of FIFO, which is how the
   /// scheduler stress tests explore yield interleavings. 0 = FIFO.
@@ -80,7 +72,7 @@ class FiberScheduler {
   /// resuming worker immediately before each slice of `rank` begins
   /// (including the first) — the runtime uses it to re-base the rank's
   /// thread-CPU mark. `on_idle` fires on a worker that has seen no runnable
-  /// fiber for a watchdog interval — the runtime points it at the deadlock
+  /// fiber for an idle-poll interval — the runtime points it at the deadlock
   /// scan, which is what fires virtual-deadline timeouts and emergency
   /// credits when every fiber is parked.
   void run(const std::function<void(int)>& body,

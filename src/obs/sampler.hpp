@@ -10,7 +10,7 @@
 //
 // Sampling is driven from inside mpsim (see Runtime::set_sampler): ranks
 // sample themselves at comm events, rate-limited by virtual time via the
-// inline due() check, and the deadlock watchdog / fiber idle poll sweeps
+// inline due() check, and the fiber scheduler's idle poll sweeps
 // blocked ranks so an all-parked run still produces fresh samples. The
 // disabled path is the same zero-overhead discipline obs/trace enforces:
 // one pointer check, nothing else.

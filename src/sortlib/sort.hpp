@@ -15,10 +15,9 @@
 //    (merge.hpp) straight into the caller's buffer; or dispatches the whole
 //    input to radix when the key type allows it (SortEngine below).
 //
-// Engine selection (SortEngine): kAuto consults the process-wide default
-// (set_default_sort_engine, wired to the --sort CLI knob); a kAuto default
-// auto-dispatches integral keys of at least kRadixAutoCutoff elements to
-// radix and everything else to mergesort. Float/double spans use radix only
+// Engine selection (SortEngine): callers may pin an engine per call; kAuto
+// dispatches integral keys of at least kRadixAutoCutoff elements to radix
+// and everything else to mergesort. Float/double spans use radix only
 // when pinned explicitly (their normalized key order refines operator<;
 // see radix.hpp). The decision and the SIMD level actually used are
 // reported in SortBreakdown and surface as papar_sort_* metrics in the
@@ -33,12 +32,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -55,7 +51,8 @@ namespace papar::sortlib {
 inline constexpr std::size_t kNetworkBlock = 8;
 
 /// Integral inputs at least this large auto-dispatch to the radix engine
-/// when the effective SortEngine is kAuto.
+/// under SortEngine::kAuto (MapReduce's key-column sort uses the same
+/// cutoff).
 inline constexpr std::size_t kRadixAutoCutoff = 8192;
 
 /// How parallel_sort combines the independently sorted chunks.
@@ -72,9 +69,8 @@ enum class MergeAlgo {
 
 /// Which algorithm family parallel_sort runs.
 enum class SortEngine {
-  /// Resolve through the process default; if that is also kAuto, dispatch
-  /// on key type and input size (integral keys >= kRadixAutoCutoff go to
-  /// radix, everything else to mergesort).
+  /// Dispatch on key type and input size (integral keys >=
+  /// kRadixAutoCutoff go to radix, everything else to mergesort).
   kAuto,
   /// Network-leaf mergesort + multiway merge (any type, any comparator).
   kMergesort,
@@ -83,22 +79,6 @@ enum class SortEngine {
   /// otherwise the call falls back to mergesort.
   kRadix,
 };
-
-namespace sort_detail {
-inline std::atomic<SortEngine>& default_engine_slot() {
-  static std::atomic<SortEngine> engine{SortEngine::kAuto};
-  return engine;
-}
-}  // namespace sort_detail
-
-/// Process-wide default consulted when parallel_sort is called with
-/// SortEngine::kAuto (the --sort=auto|merge|radix knob lands here).
-inline SortEngine default_sort_engine() {
-  return sort_detail::default_engine_slot().load(std::memory_order_relaxed);
-}
-inline void set_default_sort_engine(SortEngine engine) {
-  sort_detail::default_engine_slot().store(engine, std::memory_order_relaxed);
-}
 
 inline const char* sort_engine_name(SortEngine engine) {
   switch (engine) {
@@ -111,31 +91,6 @@ inline const char* sort_engine_name(SortEngine engine) {
   }
   return "auto";
 }
-
-/// Parses the --sort knob value ("auto" | "merge" | "radix").
-inline SortEngine parse_sort_engine(std::string_view name) {
-  if (name == "auto") return SortEngine::kAuto;
-  if (name == "merge") return SortEngine::kMergesort;
-  if (name == "radix") return SortEngine::kRadix;
-  throw ConfigError("unknown sort engine `" + std::string(name) +
-                    "` (expected auto, merge, or radix)");
-}
-
-/// Installs a process-wide default engine for its lifetime and restores the
-/// previous default on exit (workflow runs scope the --sort knob this way).
-class SortEngineScope {
- public:
-  explicit SortEngineScope(SortEngine engine) : prev_(default_sort_engine()) {
-    set_default_sort_engine(engine);
-  }
-  ~SortEngineScope() { set_default_sort_engine(prev_); }
-
-  SortEngineScope(const SortEngineScope&) = delete;
-  SortEngineScope& operator=(const SortEngineScope&) = delete;
-
- private:
-  SortEngine prev_;
-};
 
 /// True when (T, Less) may legally take the radix path: fixed-width
 /// normalized key under the default ascending order.
@@ -297,7 +252,6 @@ void parallel_sort(std::span<T> data, Less less, ThreadPool& pool,
                    SortEngine engine = SortEngine::kAuto) {
   WallTimer timer;
   const std::size_t n = data.size();
-  if (engine == SortEngine::kAuto) engine = default_sort_engine();
   if (breakdown != nullptr) *breakdown = SortBreakdown{};
 
   if constexpr (radix_compatible<T, Less>) {

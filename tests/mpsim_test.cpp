@@ -479,11 +479,9 @@ TEST(Runtime, SparseAlltoallvMatchesDenseReference) {
       }
     }
   }
-  // 1000 ranks run as fibers over a few workers, never as 1000 threads.
   // The dense pattern stops at 64 ranks: at 1000 it queues a million
   // messages (about 0.4 GB resident), which the TSan build multiplies.
   SchedulerOptions fibers;
-  fibers.mode = SchedulerMode::kFibers;
   fibers.workers = 4;
   Runtime rt(1000, NetworkModel::rdma(), fibers);
   for (const Pattern pattern : patterns) {

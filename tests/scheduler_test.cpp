@@ -1,9 +1,10 @@
 // Fiber-scheduler scale tests (DESIGN.md §13): hundreds of virtual ranks
 // multiplexed over a handful of workers must produce byte-identical
-// partitions to the paper-scale threaded baseline, under randomized run
-// queue interleavings and injected faults. Both case studies are covered:
-// BLAST cyclic partitioning (global-index stamps) and PowerLyra hybrid-cut
-// (content stamps), whose outputs are rank-count independent by design.
+// partitions to the default paper-scale (16-rank) run, under FIFO and
+// seeded-random run queue interleavings and injected faults. Both case
+// studies are covered: BLAST cyclic partitioning (global-index stamps) and
+// PowerLyra hybrid-cut (content stamps), whose outputs are rank-count
+// independent by design.
 #include <gtest/gtest.h>
 
 #include "blast/generator.hpp"
@@ -17,7 +18,6 @@ namespace {
 
 core::EngineOptions fiber_options(int workers, std::uint64_t seed) {
   core::EngineOptions options;
-  options.scheduler.mode = mp::SchedulerMode::kFibers;
   options.scheduler.workers = workers;
   options.scheduler.seed = seed;
   return options;
@@ -38,7 +38,7 @@ graph::Graph scale_graph() {
   return graph::generate_zipf(opt);
 }
 
-TEST(SchedulerScale, Blast512RanksOver4WorkersMatchesThreadedBaseline) {
+TEST(SchedulerScale, Blast512RanksOver4WorkersMatches16RankBaseline) {
   const auto db = scale_db();
   const auto baseline =
       blast::partition_with_papar(db, 16, 32, blast::Policy::kCyclic);
@@ -47,7 +47,7 @@ TEST(SchedulerScale, Blast512RanksOver4WorkersMatchesThreadedBaseline) {
   EXPECT_EQ(scaled.partitions.partitions, baseline.partitions.partitions);
 }
 
-TEST(SchedulerScale, HybridCut512RanksOver4WorkersMatchesThreadedBaseline) {
+TEST(SchedulerScale, HybridCut512RanksOver4WorkersMatches16RankBaseline) {
   const auto g = scale_graph();
   const auto baseline = graph::papar_hybrid_cut(g, 16, 16, /*threshold=*/32);
   const auto scaled = graph::papar_hybrid_cut(g, 512, 16, /*threshold=*/32,
@@ -71,17 +71,18 @@ TEST(SchedulerScale, RandomizedInterleavingsAreAllByteIdentical) {
 }
 
 TEST(SchedulerScale, BothModesAgreeAt256Ranks) {
-  // The same 256-rank run in both executors: one OS thread per rank vs
-  // fibers over 4 workers. Partitions must match each other and the
+  // The same 256-rank run in both run-queue modes: FIFO on one worker vs
+  // seeded-random over 4 workers. Partitions must match each other and the
   // 16-rank baseline.
   const auto g = scale_graph();
   const auto baseline = graph::papar_hybrid_cut(g, 16, 16, /*threshold=*/32);
-  const auto threaded = graph::papar_hybrid_cut(g, 256, 16, /*threshold=*/32);
-  const auto fibered = graph::papar_hybrid_cut(g, 256, 16, /*threshold=*/32,
-                                               fiber_options(4, /*seed=*/6));
-  EXPECT_EQ(threaded.partitioning.edge_partition,
+  const auto fifo = graph::papar_hybrid_cut(g, 256, 16, /*threshold=*/32,
+                                            fiber_options(1, /*seed=*/0));
+  const auto seeded = graph::papar_hybrid_cut(g, 256, 16, /*threshold=*/32,
+                                              fiber_options(4, /*seed=*/6));
+  EXPECT_EQ(fifo.partitioning.edge_partition,
             baseline.partitioning.edge_partition);
-  EXPECT_EQ(fibered.partitioning.edge_partition,
+  EXPECT_EQ(seeded.partitioning.edge_partition,
             baseline.partitioning.edge_partition);
 }
 

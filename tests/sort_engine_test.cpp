@@ -5,8 +5,7 @@
 // sizes straddling every network and radix cutoff. MapReduce's key-column
 // sort (sort_by_key, and reduce's group-by order) is held to the same
 // standard against std::stable_sort with the per-operator comparators it
-// replaced. Whole case-study runs must produce the same partitions under
-// every --sort engine.
+// replaced, on both sides of the radix cutoff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,10 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "blast/generator.hpp"
-#include "blast/partitioner.hpp"
-#include "graph/generator.hpp"
-#include "graph/papar_hybrid.hpp"
 #include "mapreduce/mapreduce.hpp"
 #include "mpsim/runtime.hpp"
 #include "obs/obs.hpp"
@@ -199,26 +194,10 @@ TEST(SortEngines, AutoDispatchesBySizeAndReportsBreakdown) {
   EXPECT_GT(bd.radix_passes, 0u);
 }
 
-TEST(SortEngines, DefaultEngineScopeOverridesAndRestores) {
-  ASSERT_EQ(default_sort_engine(), SortEngine::kAuto);
-  {
-    SortEngineScope scope(SortEngine::kMergesort);
-    EXPECT_EQ(default_sort_engine(), SortEngine::kMergesort);
-    ThreadPool pool(2);
-    auto v = adversarial<std::uint64_t>(kRadixAutoCutoff * 2, 0, 8);
-    SortBreakdown bd;
-    parallel_sort(std::span<std::uint64_t>(v), std::less<std::uint64_t>(), pool, &bd);
-    EXPECT_EQ(bd.engine_used, SortEngine::kMergesort);
-  }
-  EXPECT_EQ(default_sort_engine(), SortEngine::kAuto);
-}
-
 TEST(SortEngines, ParseAndNameRoundTrip) {
-  EXPECT_EQ(parse_sort_engine("auto"), SortEngine::kAuto);
-  EXPECT_EQ(parse_sort_engine("merge"), SortEngine::kMergesort);
-  EXPECT_EQ(parse_sort_engine("radix"), SortEngine::kRadix);
+  EXPECT_STREQ(sort_engine_name(SortEngine::kAuto), "auto");
+  EXPECT_STREQ(sort_engine_name(SortEngine::kMergesort), "merge");
   EXPECT_STREQ(sort_engine_name(SortEngine::kRadix), "radix");
-  EXPECT_THROW(parse_sort_engine("quantum"), ConfigError);
 }
 
 // Explicit kRadix on a non-radix type must fall back to mergesort, not
@@ -512,6 +491,8 @@ std::vector<unsigned char> on_one_rank(const KvBuffer& src,
   return out;
 }
 
+// Sizes on both sides of kRadixAutoCutoff, so every key-column case runs
+// through both the merge and the radix engine.
 const std::vector<std::size_t> kColumnSizes = {0, 1, 2, 300, kRadixAutoCutoff - 1,
                                                kRadixAutoCutoff + 77};
 
@@ -520,20 +501,14 @@ TEST(KeyColumnSort, MatchesComparatorStableSortOnEveryEngine) {
     for (const std::size_t n : kColumnSizes) {
       const KvBuffer src = make_page(c, n, 0xC011u + n);
       const auto expected = stable_sorted(src, c.old_less);
-      for (const SortEngine engine :
-           {SortEngine::kAuto, SortEngine::kMergesort, SortEngine::kRadix}) {
-        SortEngineScope scope(engine);
-        obs::Recorder rec;
-        const auto got =
-            on_one_rank(src, [&](mr::MapReduce& m) { m.sort_by_key(c.column); }, &rec);
-        EXPECT_EQ(got, expected) << c.name << " n=" << n << " engine="
-                                 << sort_engine_name(engine);
-        const bool radix = engine == SortEngine::kRadix ||
-                           (engine == SortEngine::kAuto && n >= kRadixAutoCutoff);
-        EXPECT_EQ(rec.counter("sort.records"), n);
-        EXPECT_EQ(rec.counter(radix ? "sort.engine_radix" : "sort.engine_merge"), 1u)
-            << c.name << " n=" << n << " engine=" << sort_engine_name(engine);
-      }
+      obs::Recorder rec;
+      const auto got =
+          on_one_rank(src, [&](mr::MapReduce& m) { m.sort_by_key(c.column); }, &rec);
+      EXPECT_EQ(got, expected) << c.name << " n=" << n;
+      const bool radix = n >= kRadixAutoCutoff;
+      EXPECT_EQ(rec.counter("sort.records"), n);
+      EXPECT_EQ(rec.counter(radix ? "sort.engine_radix" : "sort.engine_merge"), 1u)
+          << c.name << " n=" << n;
     }
   }
 }
@@ -578,39 +553,6 @@ TEST(KeyColumnSort, SpillBudgetTakesExternalSortAndMatches) {
   }
   EXPECT_TRUE(!std::filesystem::exists(dir) || std::filesystem::is_empty(dir));
   std::filesystem::remove_all(dir);
-}
-
-TEST(SortEngineKnob, RadixAndMergeWorkflowsMatchByteForByte) {
-  // The --sort knob must never change partitions, only timing: pin each
-  // engine across a whole hybrid-cut run and compare.
-  graph::ZipfGraphOptions gopt;
-  gopt.num_vertices = 512;
-  gopt.num_edges = 4096;
-  gopt.zipf_s = 1.1;
-  gopt.seed = 4;
-  const auto g = graph::generate_zipf(gopt);
-  core::EngineOptions merge_opt;
-  merge_opt.sort_engine = SortEngine::kMergesort;
-  core::EngineOptions radix_opt;
-  radix_opt.sort_engine = SortEngine::kRadix;
-  const auto via_merge = graph::papar_hybrid_cut(g, 8, 8, /*threshold=*/24, merge_opt);
-  const auto via_radix = graph::papar_hybrid_cut(g, 8, 8, /*threshold=*/24, radix_opt);
-  EXPECT_EQ(via_merge.partitioning.edge_partition,
-            via_radix.partitioning.edge_partition);
-}
-
-TEST(SortEngineKnob, RadixUnderColumnarPagesMatchesDefaults) {
-  // Pinned radix over BLAST cyclic against the default engine. Framed pages
-  // are the only page format, so this is the fast configuration it names.
-  blast::GeneratorOptions bopt = blast::env_nr_like();
-  bopt.sequence_count = 512;
-  const auto db = blast::generate_database(bopt);
-  const auto baseline = blast::partition_with_papar(db, 8, 16, blast::Policy::kCyclic);
-  core::EngineOptions fast;
-  fast.sort_engine = SortEngine::kRadix;
-  const auto tuned =
-      blast::partition_with_papar(db, 8, 16, blast::Policy::kCyclic, fast);
-  EXPECT_EQ(tuned.partitions.partitions, baseline.partitions.partitions);
 }
 
 }  // namespace

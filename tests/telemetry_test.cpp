@@ -577,7 +577,6 @@ TEST(MetricsRegistry, ConcurrentCountersAndGaugesFromFiberRanks) {
   obs::Histogram* h = metrics.histogram("work");
 
   mp::SchedulerOptions sched;
-  sched.mode = mp::SchedulerMode::kFibers;
   sched.workers = 4;
   const int ranks = 64;
   const int per_rank = 200;

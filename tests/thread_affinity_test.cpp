@@ -1,8 +1,10 @@
 // Regression tests for the thread-affinity bugs fixed alongside the fiber
 // scheduler (DESIGN.md §13): per-rank state must never live in thread-CPU
 // clocks sampled across scheduler slices, in thread_local scratch, or in
-// anything else keyed on the hosting OS thread, because under
-// --scheduler=fibers many ranks share one worker thread.
+// anything else keyed on the hosting OS thread, because many rank fibers
+// share one worker thread. The baseline is one worker with a FIFO run queue
+// (every rank on the same thread, in a fixed order); seeded-random run
+// queues over several workers must match it exactly.
 #include <gtest/gtest.h>
 
 #include <ctime>
@@ -18,7 +20,6 @@ namespace {
 
 mp::SchedulerOptions fibers(int workers, std::uint64_t seed = 0) {
   mp::SchedulerOptions s;
-  s.mode = mp::SchedulerMode::kFibers;
   s.workers = workers;
   s.seed = seed;
   return s;
@@ -48,16 +49,16 @@ std::vector<double> run_modeled_workload(const mp::SchedulerOptions& sched) {
 }
 
 // Satellite-1 regression: the per-rank CPU charge is re-based at every
-// scheduler slice, so multiplexing ranks over a worker pool yields exactly
-// the same per-rank clocks as one OS thread per rank.
+// scheduler slice, so any interleaving of ranks over a worker pool yields
+// exactly the per-rank clocks of the single-worker FIFO schedule.
 TEST(CpuCharging, PerRankChargesIdenticalAcrossSchedulers) {
-  const auto threaded = run_modeled_workload({});
-  for (const int workers : {1, 2}) {
-    const auto fibered = run_modeled_workload(fibers(workers));
-    ASSERT_EQ(fibered.size(), threaded.size());
-    for (std::size_t r = 0; r < threaded.size(); ++r) {
-      EXPECT_DOUBLE_EQ(fibered[r], threaded[r]) << "rank " << r << " with "
-                                                << workers << " workers";
+  const auto fifo = run_modeled_workload(fibers(/*workers=*/1));
+  for (const int workers : {2, 4}) {
+    const auto seeded = run_modeled_workload(fibers(workers, /*seed=*/5));
+    ASSERT_EQ(seeded.size(), fifo.size());
+    for (std::size_t r = 0; r < fifo.size(); ++r) {
+      EXPECT_DOUBLE_EQ(seeded[r], fifo[r]) << "rank " << r << " with "
+                                           << workers << " workers";
     }
   }
 }
@@ -114,11 +115,11 @@ TEST(ScratchOwnership, CompressedHybridCutIdenticalAcrossSchedulers) {
         .partitioning.edge_partition;
   };
 
-  const auto reference = partition_of({}, 4);
-  EXPECT_EQ(partition_of(fibers(2), 8), reference)
-      << "fiber interleaving corrupted shared scratch state";
-  EXPECT_EQ(partition_of(fibers(1, /*seed=*/7), 6), reference)
-      << "randomized single-worker schedule corrupted shared scratch state";
+  const auto reference = partition_of(fibers(1), 4);
+  EXPECT_EQ(partition_of(fibers(2, /*seed=*/7), 8), reference)
+      << "seeded two-worker schedule corrupted shared scratch state";
+  EXPECT_EQ(partition_of(fibers(4, /*seed=*/11), 6), reference)
+      << "seeded four-worker schedule corrupted shared scratch state";
 }
 
 }  // namespace

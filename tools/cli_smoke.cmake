@@ -78,3 +78,57 @@ foreach(p RANGE 0 3)
                         "and crash-recovered runs")
   endif()
 endforeach()
+
+# The benchmark's spelling of the executor (`--scheduler fibers --workers 2`)
+# must run and write partitions byte-identical to the default run.
+execute_process(
+  COMMAND "${PAPAR_CLI}"
+          --input-config "${CONFIG_DIR}/graph_edge.xml"
+          --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+          --arg input_file=edges.txt
+          --arg output_path=${WORK_DIR}/parts-workers/graph
+          --arg num_partitions=4
+          --arg threshold=15
+          --file edges.txt=${WORK_DIR}/edges.txt
+          --nodes 4 --scheduler fibers --workers 2
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "papar CLI failed with --scheduler fibers --workers 2 (${rc}): ${out} ${err}")
+endif()
+foreach(p RANGE 0 3)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files
+            "${WORK_DIR}/parts/graph.${p}" "${WORK_DIR}/parts-workers/graph.${p}"
+    RESULT_VARIABLE same)
+  if(NOT same EQUAL 0)
+    message(FATAL_ERROR "partition graph.${p} differs between the default and "
+                        "the two-worker run")
+  endif()
+endforeach()
+
+# Removed executor and sort-engine choices are typed errors: exit code 1
+# with a message, never a crash and never a silent fallback.
+foreach(removed "--scheduler;threads" "--sort;merge")
+  execute_process(
+    COMMAND "${PAPAR_CLI}"
+            --input-config "${CONFIG_DIR}/graph_edge.xml"
+            --workflow "${CONFIG_DIR}/hybrid_cut.xml"
+            --arg input_file=edges.txt
+            --arg output_path=${WORK_DIR}/parts-removed/graph
+            --arg num_partitions=4
+            --arg threshold=15
+            --file edges.txt=${WORK_DIR}/edges.txt
+            --nodes 4 ${removed}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  string(REPLACE ";" " " shown "${removed}")
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "papar: config error")
+    message(FATAL_ERROR "`${shown}` should fail with a config error, got (${rc}): ${err}")
+  endif()
+  if(EXISTS "${WORK_DIR}/parts-removed")
+    message(FATAL_ERROR "`${shown}` wrote partitions instead of failing")
+  endif()
+endforeach()

@@ -22,9 +22,10 @@
 //
 // A second matrix exercises localized crash recovery (DESIGN.md §16): a
 // fail-stop crash placed proportionally at every stage of both workflows,
-// crossed with {threads, fibers} schedulers x {local, stage} recovery,
-// must finish byte-identical — and `local` must do it by replaying only
-// the crashed rank (rank replays observed, zero full-stage recoveries).
+// crossed with {1 worker FIFO, 4 workers seeded} fiber schedules x {local,
+// stage} recovery, must finish byte-identical — and `local` must do it by
+// replaying only the crashed rank (rank replays observed, zero full-stage
+// recoveries).
 // Two more cells per workload force the degradation ladder (retention
 // eviction under a starved cap falls back to full-stage replay) and soak
 // the end-to-end integrity checking (corrupt=0.01 bit-flips, every one
@@ -321,7 +322,7 @@ int run_chaos(int argc, char** argv) {
 
   // Fiber-scheduler soak: the same workloads multiplexed over 4 workers at
   // hundreds of ranks, with a lossy-fabric-plus-crash plan, must still be
-  // byte-identical to the few-rank threaded baseline. This is the scale
+  // byte-identical to the few-rank baseline. This is the scale
   // regime where the wall-clock watchdogs the virtual-deadline conversion
   // replaced would have fired spuriously (256 ranks time-sharing 4 workers
   // make real elapsed time meaningless as a progress signal).
@@ -330,7 +331,6 @@ int run_chaos(int argc, char** argv) {
     const std::uint64_t seed = 1;
     const RunOutcome baseline = workload(seed, opt.nodes, {}, nullptr);
     core::EngineOptions options;
-    options.scheduler.mode = mp::SchedulerMode::kFibers;
     options.scheduler.workers = 4;
     options.scheduler.seed = seed;
     mp::FaultPlan plan = mp::FaultPlan::parse_arg("drop=0.03,crash=1@60");
@@ -374,11 +374,12 @@ int run_chaos(int argc, char** argv) {
   // the crash with single-rank replays only (zero full-stage recoveries).
   struct RecoveryCell {
     const char* sched;
-    mp::SchedulerMode mode;
+    int workers;
+    bool seeded;  // seeded-random run queue instead of FIFO
   };
   const std::vector<RecoveryCell> recovery_cells = {
-      {"threads", mp::SchedulerMode::kThreads},
-      {"fibers", mp::SchedulerMode::kFibers},
+      {"fibers/1w", 1, false},
+      {"fibers/4w", 4, true},
   };
   const std::vector<double> crash_points =
       opt.quick ? std::vector<double>{0.1, 0.5, 0.9}
@@ -389,11 +390,8 @@ int run_chaos(int argc, char** argv) {
     for (const auto& cell : recovery_cells) {
       const auto cell_options = [&]() {
         core::EngineOptions o;
-        o.scheduler.mode = cell.mode;
-        if (cell.mode == mp::SchedulerMode::kFibers) {
-          o.scheduler.workers = 4;
-          o.scheduler.seed = seed;
-        }
+        o.scheduler.workers = cell.workers;
+        if (cell.seeded) o.scheduler.seed = seed;
         return o;
       };
       const RunOutcome baseline = workload(seed, opt.nodes, cell_options(), nullptr);

@@ -13,7 +13,7 @@
 //         --arg input_path=db.index --arg output_path=out/part
 //         --arg num_partitions=32
 //         --file db.index=./my_database.index
-//         --nodes 16 [--sort auto|merge|radix]
+//         --nodes 16 [--workers 4]
 //         [--compress] [--naive-splitters] [--stats]
 //         [--trace trace.json] [--metrics out.prom]
 //         [--telemetry live.jsonl] [--flight-rec out/flight]
@@ -40,12 +40,15 @@
 // size, mailbox depth, retransmits, plus run counters) in Prometheus text
 // exposition format.
 //
-// --sort picks the local sort engine (auto dispatches integral keys past a
-// size cutoff to LSD radix, merge pins the network-leaf mergesort, radix
-// pins the radix path). The knob changes performance only: partitions are
-// byte-identical under every engine, and the papar_sort_* series in
-// --metrics report the decisions taken. The shuffle always ships the
-// framed page bytes as they are (papar_mr_shuffle_* series).
+// Simulated nodes run as rank fibers over a pool of --workers OS threads
+// (default: one per hardware thread, at most one per rank). The worker
+// count changes timing only: partitions are byte-identical under every
+// count. --scheduler exists for old command lines and accepts only
+// `fibers`. Local sorts dispatch on size: key columns of at least 8192
+// records take the LSD radix path, smaller ones the network-leaf
+// mergesort; the papar_sort_* series in --metrics report the decisions
+// taken. The shuffle always ships the framed page bytes as they are
+// (papar_mr_shuffle_* series).
 //
 // --faults enables deterministic fault injection (see DESIGN.md §10): the
 // value is either an inline spec like "drop=0.05,dup=0.01,crash=1@40" or a
@@ -122,8 +125,8 @@ void usage(const char* argv0) {
                "usage: %s --input-config <xml> [--input-config <xml>...]\n"
                "          --workflow <xml>\n"
                "          --arg name=value [...] --file key=path [...]\n"
-               "          [--nodes N | --ranks N] [--scheduler threads|fibers]\n"
-               "          [--workers N] [--sort auto|merge|radix]\n"
+               "          [--nodes N | --ranks N] [--workers N]\n"
+               "          [--scheduler fibers]\n"
                "          [--compress] [--naive-splitters] [--stats]\n"
                "          [--trace <file>] [--metrics <file>]\n"
                "          [--telemetry <file>] [--flight-rec <dir>]\n"
@@ -163,13 +166,11 @@ CliOptions parse_cli(int argc, char** argv) {
       const auto [k, v] = split_kv(next(), "--file");
       opt.files[k] = v;
     } else if (flag == "--nodes" || flag == "--ranks") {
-      // --ranks is the scheduler-era alias: under --scheduler=fibers the
-      // simulated node count is no longer bounded by host threads.
+      // --ranks is an alias: rank fibers make the simulated node count
+      // independent of host threads.
       opt.nodes = parse_number<int>(next(), flag.c_str());
     } else if (flag == "--scheduler") {
       opt.engine.scheduler.mode = mp::parse_scheduler_mode(next());
-    } else if (flag == "--sort") {
-      opt.engine.sort_engine = sortlib::parse_sort_engine(next());
     } else if (flag == "--workers") {
       opt.engine.scheduler.workers = parse_number<int>(next(), "--workers");
     } else if (flag == "--faults") {

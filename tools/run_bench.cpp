@@ -8,13 +8,13 @@
 //            MergeAlgo::kSequentialLoserTree (single-threaded loser tree +
 //            copy-back). After: the splitter-partitioned parallel merge.
 //            Reports the cross-chunk merge phase and the total sort.
-//   scaling  hybrid cut at {16, 64, 256, 1024} ranks. Before: one OS
-//            thread per rank. After: rank fibers over 4 workers. Reports
-//            host wall seconds.
 //
-// Usage: run_bench [--out-dir DIR] [sortlib|scaling ...]
-// Defaults: sortlib only (the scaling sweep starts 1024 rank threads, so
-// it runs only when named), files written to the current directory.
+// Rank-count scaling is measured by perfbench's `hybrid-cut-wide` workload
+// (1024 ranks), and per-stage critical-path shares by
+// `perfbench/run.py --trace 1`.
+//
+// Usage: run_bench [--out-dir DIR] [sortlib ...]
+// Defaults: sortlib, files written to the current directory.
 // PAPAR_BENCH_REPEATS (default 5) sets the sample count per knob;
 // PAPAR_BENCH_SCALE shrinks the datasets for smoke runs as usual.
 #include <cstdint>
@@ -26,10 +26,6 @@
 
 #include "bench/bench_json.hpp"
 #include "bench/common.hpp"
-#include "graph/generator.hpp"
-#include "graph/papar_hybrid.hpp"
-#include "obs/critpath.hpp"
-#include "obs/trace.hpp"
 #include "sortlib/simd.hpp"
 #include "sortlib/sort.hpp"
 #include "util/rng.hpp"
@@ -52,25 +48,6 @@ void print_entry(const bench::BenchEntry& e, const char* unit = "s") {
   std::printf("  %-32s before %.4f%s  after %.4f%s  speedup %.2fx\n",
               e.name.c_str(), e.before_median(), unit, e.after_median(), unit,
               e.speedup());
-}
-
-// Per-stage share of the simulated critical path, from one traced run of
-// the "after" configuration (timing samples are never taken with the
-// tracer attached, so the committed medians stay instrumentation-free).
-std::vector<std::pair<std::string, double>> critpath_fractions(
-    const obs::TraceRecorder& tracer) {
-  const obs::CriticalPath path = obs::critical_path(tracer.snapshot());
-  std::vector<std::pair<std::string, double>> fractions;
-  if (path.total <= 0.0) return fractions;
-  for (const auto& [stage, seconds] : path.by_stage) {
-    fractions.emplace_back(stage, seconds / path.total);
-  }
-  std::printf("  critical path by stage:");
-  for (const auto& [stage, frac] : fractions) {
-    std::printf("  %s %.1f%%", stage.c_str(), 100.0 * frac);
-  }
-  std::printf("\n");
-  return fractions;
 }
 
 /// One timed parallel_sort under an explicit (engine, merge algo, SIMD)
@@ -235,99 +212,6 @@ bench::BenchReport bench_sortlib(int reps) {
   return report;
 }
 
-// Scheduler scaling sweep (DESIGN.md §13): the same hybrid-cut workload at
-// {16, 64, 256, 1024} simulated ranks, before = one OS thread per rank,
-// after = rank fibers over 4 workers. Samples are host wall seconds — the
-// executors produce identical partitions, so the interesting number is how
-// the *simulator* scales with rank count. "strong" keeps the input fixed;
-// "weak" grows edges linearly with ranks.
-bench::BenchReport bench_scaling(int reps) {
-  const std::vector<int> rank_counts = {16, 64, 256, 1024};
-  const int workers = 4;
-  std::printf("scaling: hybrid cut at {16,64,256,1024} ranks, "
-              "threads vs fibers/%dw, %d repeats/knob\n", workers, reps);
-
-  auto make_graph = [](std::size_t edges) {
-    graph::ZipfGraphOptions opt;
-    opt.num_vertices = static_cast<graph::VertexId>(
-        std::max<std::size_t>(edges / 6, 64));
-    opt.num_edges = edges;
-    opt.zipf_s = 1.25;
-    opt.seed = 9;
-    return graph::generate_zipf(opt);
-  };
-  auto run_once = [&](const graph::Graph& g, int ranks, bool fibers,
-                      obs::TraceRecorder* tracer = nullptr) {
-    core::EngineOptions options;
-    if (fibers) {
-      options.scheduler.mode = mp::SchedulerMode::kFibers;
-      options.scheduler.workers = workers;
-    }
-    WallTimer timer;
-    const auto result = graph::papar_hybrid_cut(
-        g, ranks, 16, /*threshold=*/32, options, bench::papar_fabric(),
-        nullptr, tracer);
-    const double wall = timer.seconds();
-    return std::make_pair(wall, result.partitioning.edge_partition);
-  };
-
-  bench::BenchReport report;
-  report.bench = "scaling";
-  report.scale = bench::scale_factor();
-  report.repeats = reps;
-
-  const graph::Graph strong_graph = make_graph(bench::scaled(6144));
-  for (const char* mode : {"strong", "weak"}) {
-    const bool weak = std::strcmp(mode, "weak") == 0;
-    for (const int ranks : rank_counts) {
-      const graph::Graph weak_graph =
-          weak ? make_graph(bench::scaled(static_cast<std::size_t>(ranks) * 8))
-               : graph::Graph{};
-      const graph::Graph& g = weak ? weak_graph : strong_graph;
-      bench::BenchEntry entry{std::string(mode) + ".hybrid." +
-                                  std::to_string(ranks) + "r",
-                              "one OS thread per rank",
-                              "rank fibers over " + std::to_string(workers) +
-                                  " workers",
-                              {},
-                              {}};
-      std::vector<std::uint32_t> reference;
-      for (int r = 0; r < reps; ++r) {
-        for (const bool fibers : {false, true}) {
-          auto [wall, partition] = run_once(g, ranks, fibers);
-          (fibers ? entry.after_samples : entry.before_samples).push_back(wall);
-          // Byte-identity across executors and repeats is the contract the
-          // whole sweep rides on; a mismatch invalidates the numbers.
-          if (reference.empty()) {
-            reference = std::move(partition);
-          } else if (partition != reference) {
-            std::fprintf(stderr,
-                         "FATAL: partitions differ between executors at %d ranks\n",
-                         ranks);
-            std::exit(1);
-          }
-        }
-      }
-      print_entry(entry);
-      report.entries.push_back(std::move(entry));
-    }
-  }
-
-  // Critical-path fractions per rank count (strong input, fiber executor),
-  // stage names prefixed "<ranks>r/". 1024 ranks is skipped: its trace is
-  // millions of events and the recorder would dominate the run's memory.
-  for (const int ranks : {16, 64, 256}) {
-    obs::TraceRecorder tracer;
-    run_once(strong_graph, ranks, /*fibers=*/true, &tracer);
-    std::printf("  [%d ranks]", ranks);
-    for (auto& [stage, frac] : critpath_fractions(tracer)) {
-      report.critical_path_fractions.emplace_back(
-          std::to_string(ranks) + "r/" + stage, frac);
-    }
-  }
-  return report;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -337,7 +221,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: run_bench [--out-dir DIR] [sortlib|scaling ...]\n");
+      std::printf("usage: run_bench [--out-dir DIR] [sortlib ...]\n");
       return 0;
     } else {
       workloads.emplace_back(argv[i]);
@@ -350,8 +234,6 @@ int main(int argc, char** argv) {
     papar::bench::BenchReport report;
     if (w == "sortlib") {
       report = bench_sortlib(reps);
-    } else if (w == "scaling") {
-      report = bench_scaling(reps);
     } else {
       std::fprintf(stderr, "unknown workload: %s\n", w.c_str());
       return 2;
